@@ -71,7 +71,7 @@ trace-smoke:
 # checked-in BENCH_simspeed.json and appends a git-SHA-stamped row to
 # results/bench_history.jsonl (perf trajectory across commits).
 bench-simspeed:
-	$(PYTHON) benchmarks/bench_simspeed.py --obs --windows 8 --gate \
+	$(PYTHON) benchmarks/bench_simspeed.py --obs --gate \
 		--history --output BENCH_simspeed.json
 
 # Full figure/table regeneration (writes under results/).

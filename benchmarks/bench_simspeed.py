@@ -17,10 +17,9 @@ cross-run gate).  The one hard gate is ``--gate``: the fast engine must
 be at least 2x the reference on mcf/ooo along the stepping path (no
 fast-forward) — a within-run ratio, immune to runner speed.  On a gate
 failure (or with ``--profile``) the slowest row's cProfile dump lands
-under ``results/profiles/`` for triage.  ``--windows N`` adds lockstep
-aggregate-throughput rows.  Unlike the ``bench_fig*`` modules this is a
-standalone script, not a pytest-benchmark suite: it times the simulator
-itself, not the machine being simulated.
+under ``results/profiles/`` for triage.  Unlike the ``bench_fig*``
+modules this is a standalone script, not a pytest-benchmark suite: it
+times the simulator itself, not the machine being simulated.
 """
 
 from __future__ import annotations
@@ -108,11 +107,6 @@ def main(argv=None) -> int:
              "the cross-engine bit-identity check and speedup columns)",
     )
     parser.add_argument(
-        "--windows", type=int, default=1, metavar="N",
-        help="also measure lockstep aggregate throughput over N "
-             "full runs per (workload, config), fast engine",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="cProfile the slowest row into results/profiles/",
     )
@@ -143,7 +137,6 @@ def main(argv=None) -> int:
         verbose=True,
         obs=args.obs,
         engines=args.engines,
-        windows=args.windows,
     )
     print()
     print(render_simspeed(payload))

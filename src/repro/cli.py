@@ -247,11 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "attached-idle vs metrics sampling)",
     )
     simspeed.add_argument(
-        "--windows", type=int, default=1, metavar="N",
-        help="also measure lockstep aggregate throughput over N "
-             "windows per (workload, config)",
-    )
-    simspeed.add_argument(
         "--engines", nargs="*", default=None,
         choices=["reference", "fast"], metavar="ENGINE",
         help="engines to measure (default: both)",
@@ -362,16 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replay completed seeds from a checkpoint manifest",
     )
     fuzz_run.add_argument(
-        "--windows", type=int, default=1, metavar="N",
-        help="batch N runs at a time through the in-process lockstep "
-             "runner (bit-identical; the fast path on one CPU; "
-             "mutually exclusive with --backend/--checkpoint/--resume)",
-    )
-    fuzz_run.add_argument(
         "--smt", action="store_true",
         help="fuzz paired two-context programs on the co-residency "
-             "model (cross-context channels; incompatible with "
-             "--windows > 1)",
+             "model (cross-context channels)",
     )
 
     fuzz_replay = fuzz_sub.add_parser(
@@ -744,8 +732,6 @@ def _run_command(args) -> int:
             kwargs["seed"] = args.seed
         if args.obs:
             kwargs["obs"] = True
-        if args.windows > 1:
-            kwargs["windows"] = args.windows
         if args.engines:
             kwargs["engines"] = args.engines
         payload = simspeed_mod.run_simspeed(**kwargs)
@@ -1183,7 +1169,6 @@ def _fuzz(args) -> int:
             backend=args.backend,
             checkpoint=args.checkpoint,
             resume=args.resume,
-            windows=args.windows,
             smt=args.smt,
         )
         print(campaign.describe())

@@ -1234,28 +1234,15 @@ class FastOoOCore(OutOfOrderCore):
         max_cycles: int = 5_000_000,
         deadlock_cycles: int = 100_000,
     ) -> RunOutcome:
-        """Reference run semantics; loop in run_slice, hoisted."""
+        """Reference run semantics, per-iteration lookups hoisted."""
         wall_start = time.perf_counter()
-        self.run_slice(None, max_cycles, deadlock_cycles)
-        return self.finish_run(time.perf_counter() - wall_start)
-
-    def run_slice(
-        self,
-        commit_target,
-        max_cycles: int,
-        deadlock_cycles: int = 100_000,
-    ) -> bool:
-        # Reference run_slice with the per-iteration lookups hoisted.
         fast = self.fast_forward
         iq = self.iq
         step = self.step
         probe = self._next_interesting_cycle
         skip = self._skip_to
         probe_ready = self._hook_ready_horizon is not None
-        check_commit = commit_target is not None
         while not self.halted and self.cycle < max_cycles:
-            if check_commit and self.committed >= commit_target:
-                return False
             if fast and (probe_ready or not iq._ready):
                 limit = self._last_commit_cycle + deadlock_cycles + 1
                 if max_cycles < limit:
@@ -1274,4 +1261,4 @@ class FastOoOCore(OutOfOrderCore):
             step()
             if self.cycle - self._last_commit_cycle > deadlock_cycles:
                 raise self._deadlock_error(deadlock_cycles)
-        return True
+        return self.finish_run(time.perf_counter() - wall_start)

@@ -168,37 +168,12 @@ class OutOfOrderCore:
     ) -> RunOutcome:
         """Simulate until HALT (or the program runs out), then report."""
         wall_start = time.perf_counter()
-        self.run_slice(None, max_cycles, deadlock_cycles)
-        return self.finish_run(time.perf_counter() - wall_start)
-
-    def run_slice(
-        self,
-        commit_target: Optional[int],
-        max_cycles: int,
-        deadlock_cycles: int = 100_000,
-    ) -> bool:
-        """The ``run()`` loop, stoppable at a committed-instruction count.
-
-        Runs until HALT, the cycle budget, or (when *commit_target* is
-        not None) ``self.committed >= commit_target`` — with the exact
-        deadlock semantics of ``run()``, so slicing a run at arbitrary
-        commit counts and resuming reproduces the unsliced run bit for
-        bit (the loop carries no state besides the machine itself).
-        Returns True once the run is over (halted or out of budget),
-        False when it merely paused at *commit_target*.  The lockstep
-        multi-window runner drives full runs through this.
-        """
         fast = self.fast_forward
         iq = self.iq
         # Schemes that refine the ready-pool veto (FenceOnBranch) must be
         # probed even while entries sit ready; see issue_ready_horizon.
         probe_ready = self._ready_horizon_overridden
         while not self.halted and self.cycle < max_cycles:
-            if (
-                commit_target is not None
-                and self.committed >= commit_target
-            ):
-                return False
             # Inline gate: a non-empty ready pool means the machine is
             # busy this cycle, so skip the full quiescence probe — it
             # would veto anyway, and on issue-bound phases its cost per
@@ -223,10 +198,10 @@ class OutOfOrderCore:
             self.step()
             if self.cycle - self._last_commit_cycle > deadlock_cycles:
                 raise self._deadlock_error(deadlock_cycles)
-        return True
+        return self.finish_run(time.perf_counter() - wall_start)
 
     def finish_run(self, wall: float) -> RunOutcome:
-        """Final accounting once ``run_slice`` reported the run over."""
+        """Final accounting once a run is over (halted or out of budget)."""
         self.stats.cycles = self.cycle
         self.stats.committed = self.committed
         self.protection.finalize_stats(self.stats)
@@ -271,11 +246,10 @@ class OutOfOrderCore:
 
         Exactly equivalent to ``while ...: self.advance(max_cycles)``
         with the boundary test after every call — the driver behind
-        sampling windows (:func:`repro.stats.sampling.run_window`) and
-        the lockstep multi-window runner.  Stopping at an intermediate
-        commit count and resuming is transparent: the advance sequence
-        is a pure function of machine state, so
-        ``run_to_commit(a); run_to_commit(b)`` equals
+        sampling windows (:func:`repro.stats.sampling.run_window`).
+        Stopping at an intermediate commit count and resuming is
+        transparent: the advance sequence is a pure function of machine
+        state, so ``run_to_commit(a); run_to_commit(b)`` equals
         ``run_to_commit(b)`` for any ``a <= b``.
         """
         while (
@@ -1008,26 +982,3 @@ class OutOfOrderCore:
             and self.program.fetch(self.fetch_unit.fetch_pc) is None
         ):
             self.halted = True
-
-
-def run_program(
-    program: Program,
-    config: Optional[SimConfig] = None,
-    max_cycles: int = 5_000_000,
-    direction_predictor: str = "tournament",
-) -> RunOutcome:
-    """Deprecated shim: use :func:`repro.simulate` instead."""
-    import warnings
-
-    from repro.api import simulate
-
-    warnings.warn(
-        "run_program() is deprecated and no longer exported from the "
-        "repro package; migrate to repro.simulate(program, config). "
-        "This shim (repro.core.ooo.run_program) will be removed next.",
-        DeprecationWarning, stacklevel=2,
-    )
-    return simulate(
-        program, config, max_cycles=max_cycles,
-        direction_predictor=direction_predictor,
-    )

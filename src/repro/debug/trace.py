@@ -117,11 +117,6 @@ class PipelineTracer:
         ))
         self._inorder_seq += 1
 
-    # Legacy hook spellings (pre-bus callers and subclasses). ----------- #
-
-    retired = instr_retire
-    squashed = instr_squash
-
     def _record(self, entry: DynInstr, now: int, squashed: bool) -> None:
         validate = self._validates.pop(entry.seq, -1)
         expose = self._exposes.pop(entry.seq, -1)

@@ -33,7 +33,6 @@ from repro.engine.jobs import (
     SimJob,
     derive_seed,
     execute_job,
-    execute_window_batch,
     expand_jobs,
 )
 from repro.engine.retry import ENGINE_RETRY, LEASE_RETRY, RetryPolicy
@@ -87,7 +86,6 @@ __all__ = [
     "SimJob",
     "derive_seed",
     "execute_job",
-    "execute_window_batch",
     "expand_jobs",
     "EngineStats",
     "JobFailure",

@@ -377,125 +377,6 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def _execute_jobs_lockstep(fuzz_jobs, windows: int, progress=None):
-    """In-process lockstep alternative to the engine's worker pool.
-
-    Batches *windows* fuzz jobs at a time: regenerates every program in
-    the batch, builds one core + taint oracle per job (all setup paid up
-    front), then drives the cores round-robin through the lockstep
-    runner.  Results are bit-identical to ``job.execute()`` — the cores
-    share nothing — and come back in job order.  On a single-CPU host
-    this beats the fork pool: no worker spawn, no pickling, and every
-    run uses the core's hoisted ``run_slice`` loop.
-
-    Returns ``(results, failures, stats)`` shaped like ``run_jobs``'s.
-    A failing batch falls back to executing its jobs one by one, so a
-    poisoned seed degrades that batch, not the campaign.
-    """
-    import time as _time
-
-    from repro.core import make_core
-    from repro.engine.jobs import JobResult, execute_job
-    from repro.engine.scheduler import EngineStats, JobFailure
-    from repro.fuzz.taint import TaintOracle
-    from repro.harness.multiwindow import run_cores_lockstep
-
-    from repro.obs.spans import maybe_tracer
-
-    tracer = maybe_tracer()
-    start_wall = _time.perf_counter()
-    total = len(fuzz_jobs)
-    registry = config_registry()
-    results, failures = [], []
-    for base in range(0, len(fuzz_jobs), windows):
-        batch = fuzz_jobs[base:base + windows]
-        batch_start_unix = _time.time()
-        try:
-            fps = [
-                generate(job.seed, template=job.template) for job in batch
-            ]
-            cores, oracles = [], []
-            try:
-                for job, fp in zip(batch, fps):
-                    core = make_core(
-                        fp.program, registry[job.config_name].config,
-                    )
-                    oracle = TaintOracle(
-                        secret_ranges=fp.secret_ranges,
-                        tainted_bytes=fp.tainted_bytes,
-                    )
-                    oracle.attach(core)
-                    cores.append(core)
-                    oracles.append(oracle)
-                outcomes = run_cores_lockstep(
-                    cores, max_cycles=batch[0].max_cycles,
-                )
-            finally:
-                for oracle in oracles:
-                    oracle.detach()
-            for job, fp, oracle, outcome in zip(
-                batch, fps, oracles, outcomes
-            ):
-                run = FuzzRunResult(
-                    seed=job.seed,
-                    config_name=job.config_name,
-                    template=fp.template,
-                    channel=fp.channel,
-                    analog=fp.analog,
-                    witnesses=tuple(oracle.witnesses),
-                    cycles=outcome.stats.cycles,
-                )
-                result = JobResult(
-                    job=job, window=run,
-                    elapsed=outcome.stats.sim_wall_seconds,
-                )
-                results.append(result)
-                if tracer is not None:
-                    # Lockstep batches interleave their seeds, so the
-                    # span is a retroactive batch-wide interval tagged
-                    # with the seed's own outcome.
-                    tracer.record(
-                        "fuzz.seed", batch_start_unix, _time.time(),
-                        attrs={
-                            "seed": job.seed,
-                            "config": job.config_name,
-                            "template": fp.template,
-                            "witnesses": len(run.witnesses),
-                            "cycles": run.cycles,
-                        },
-                    )
-                if progress is not None:
-                    progress(len(results) + len(failures), total, result)
-        except Exception:
-            # Localize the failure: rerun this batch serially so only
-            # the genuinely broken job(s) land in `failures`.
-            for job in batch:
-                try:
-                    result = execute_job(job)
-                except Exception as error:  # mirror the engine's shape
-                    failures.append(JobFailure(job=job, error=repr(error)))
-                    if progress is not None:
-                        progress(
-                            len(results) + len(failures), total, None,
-                        )
-                else:
-                    results.append(result)
-                    if progress is not None:
-                        progress(
-                            len(results) + len(failures), total, result,
-                        )
-    stats = EngineStats(
-        jobs=len(fuzz_jobs),
-        executed=len(results),
-        failures=len(failures),
-        workers=1,
-        backend="lockstep",
-        wall_seconds=_time.perf_counter() - start_wall,
-        sim_seconds=sum(r.elapsed for r in results),
-    )
-    return results, failures, stats
-
-
 def run_campaign(
     seeds: Sequence[int],
     config_names: Optional[Sequence[str]] = None,
@@ -507,7 +388,6 @@ def run_campaign(
     checkpoint: Optional[str] = None,
     checkpoint_interval: int = 25,
     resume=None,
-    windows: int = 1,
     smt: bool = False,
 ) -> CampaignResult:
     """Run the differential campaign: ``seeds x configs`` fuzz runs.
@@ -515,9 +395,7 @@ def run_campaign(
     With ``smt=True`` every seed runs as a co-resident attacker/victim
     pair on the two-context machine (repro.smt) and witnesses are judged
     against each scheme's *cross-context* claims
-    (:func:`claimed_blocked_cross_channels`).  SMT pairs run through the
-    reference engine's two-context lockstep already, so ``windows > 1``
-    does not combine with ``smt``.
+    (:func:`claimed_blocked_cross_channels`).
 
     Executes through the suite engine's parallel scheduler (fork-based
     workers, deterministic results, serial fallback on worker failure);
@@ -527,25 +405,9 @@ def run_campaign(
     behind; rerunning the same seeds/configs with ``resume`` replays the
     completed runs and executes only the remainder, converging on the
     identical witness corpus (fuzz jobs are deterministic).
-
-    ``windows > 1`` batches that many runs at a time through the
-    in-process lockstep runner instead of the engine — bit-identical
-    results, no worker pool; the fast path on single-CPU hosts.  It is
-    mutually exclusive with the engine-only knobs (``backend``,
-    ``checkpoint``/``resume``).
     """
     from repro.engine import run_jobs  # deferred: engine pulls in pools
 
-    if windows > 1 and (backend or checkpoint or resume):
-        raise ValueError(
-            "windows > 1 runs in-process and cannot combine with "
-            "backend/checkpoint/resume"
-        )
-    if smt and windows > 1:
-        raise ValueError(
-            "smt campaigns drive the two-context machine directly and "
-            "cannot combine with the lockstep windows runner"
-        )
     names = list(config_names) if config_names else fuzz_configs()
     registry = config_registry()
     claims_for = (
@@ -577,10 +439,6 @@ def run_campaign(
             for name in names
         ]
     def _execute():
-        if windows > 1:
-            return _execute_jobs_lockstep(
-                fuzz_jobs, windows, progress=progress,
-            )
         _register_checkpoint_codec()
         return run_jobs(
             fuzz_jobs, jobs=jobs, cache=None, progress=progress,
@@ -598,7 +456,7 @@ def run_campaign(
         with tracer.span(
             "fuzz.campaign",
             attrs={"runs": len(fuzz_jobs), "configs": len(names),
-                   "smt": bool(smt), "windows": windows},
+                   "smt": bool(smt)},
         ) as span:
             results, failures, stats = _execute()
             span.attrs["failures"] = len(failures)

@@ -12,11 +12,10 @@ engine) triple, with the idle-cycle fast-forward on and off.  Schema 2
   under-report steady-state throughput (and penalized the fast engine
   for its pre-decode pass, which real sweeps pay once per thousands of
   windows).
-* **Every row names its ``engine`` and ``windows``.**  The same
-  (workload, config) is measured under both the reference core and the
-  table-driven fast core, and the payload carries explicit
-  fast-vs-reference speedup columns.  Multi-window rows (``windows >
-  1``) measure the lockstep runner's aggregate throughput.
+* **Every row names its ``engine``.**  The same (workload, config) is
+  measured under both the reference core and the table-driven fast
+  core, and the payload carries explicit fast-vs-reference speedup
+  columns.
 * **Bit-identity is enforced across engines, not just FF modes.**  A
   fast-engine run whose ``cycles``/``committed`` differ from the
   reference engine's is a correctness bug and the harness raises.
@@ -133,7 +132,6 @@ def measure_case(
         "config": config_name,
         "label": spec.label,
         "engine": engine,
-        "windows": 1,
         "cycles": cycles,
         "committed": committed,
         "wall_seconds": wall_ff,
@@ -142,67 +140,6 @@ def measure_case(
         "cycles_per_sec_no_ff": cycles / wall_no if wall_no > 0 else 0.0,
         "committed_per_sec": committed / wall_ff if wall_ff > 0 else 0.0,
         "speedup_vs_no_ff": wall_no / wall_ff if wall_ff > 0 else 0.0,
-    }
-
-
-def measure_multiwindow(
-    workload: str,
-    config_name: str,
-    windows: int,
-    instructions: int = DEFAULT_INSTRUCTIONS,
-    repeats: int = DEFAULT_REPEATS,
-    seed: int = DEFAULT_SEED,
-    engine: str = "fast",
-) -> Dict[str, object]:
-    """Aggregate throughput of *windows* lockstep runs (seeds seed..+N-1).
-
-    Each window is a full run of its own generated program; the row's
-    ``cycles_per_sec`` is total simulated cycles across all windows per
-    second of lockstep wall time.  Setup (program generation, core
-    construction, pre-decode) is reported separately, not timed.
-    """
-    from repro.harness.multiwindow import run_cores_lockstep
-
-    spec = config_registry()[config_name]
-    if spec.in_order:
-        raise ValueError(
-            "%r is an in-order configuration; the simulator-speed "
-            "benchmark measures the out-of-order core" % config_name
-        )
-    config = replace(spec.config, engine=engine)
-    programs = [
-        spec_program(workload, instructions=instructions, seed=seed + i)
-        for i in range(windows)
-    ]
-    best_wall = None
-    best_outcomes = None
-    setup_seconds = 0.0
-    for _ in range(repeats):
-        setup_start = time.perf_counter()
-        cores = [make_core(program, config) for program in programs]
-        setup_seconds += time.perf_counter() - setup_start
-        start = time.perf_counter()
-        outcomes = run_cores_lockstep(cores, max_cycles=5_000_000)
-        elapsed = time.perf_counter() - start
-        if best_wall is None or elapsed < best_wall:
-            best_wall = elapsed
-            best_outcomes = outcomes
-    cycles = sum(o.stats.cycles for o in best_outcomes)
-    committed = sum(o.stats.committed for o in best_outcomes)
-    return {
-        "workload": workload,
-        "config": config_name,
-        "label": spec.label,
-        "engine": engine,
-        "windows": windows,
-        "cycles": cycles,
-        "committed": committed,
-        "wall_seconds": best_wall,
-        "setup_seconds": setup_seconds / repeats,
-        "cycles_per_sec": cycles / best_wall if best_wall > 0 else 0.0,
-        "committed_per_sec": (
-            committed / best_wall if best_wall > 0 else 0.0
-        ),
     }
 
 
@@ -338,7 +275,6 @@ def run_simspeed(
     verbose: bool = False,
     obs: bool = False,
     engines: Sequence[str] = DEFAULT_ENGINES,
-    windows: int = 1,
 ) -> Dict[str, object]:
     """Measure the full matrix; returns the JSON (schema 2) payload.
 
@@ -346,8 +282,6 @@ def run_simspeed(
     *engines*; when both engines are present, cross-engine bit-identity
     is asserted and ``speedup_fast_vs_reference`` /
     ``speedup_fast_vs_reference_no_ff`` are attached to the fast rows.
-    ``windows > 1`` appends lockstep aggregate rows (fast engine) for
-    each pair.
     """
     results: List[Dict[str, object]] = []
     for workload in workloads:
@@ -383,37 +317,19 @@ def run_simspeed(
                     / ref["cycles_per_sec_no_ff"]
                     if ref["cycles_per_sec_no_ff"] else 0.0
                 )
-            if windows > 1:
-                agg = measure_multiwindow(
-                    workload, config_name, windows,
-                    instructions=instructions, repeats=repeats,
-                    seed=seed, engine="fast",
-                )
-                single = by_engine.get("fast") or by_engine.get(
-                    "reference"
-                )
-                if single and single["cycles_per_sec"]:
-                    agg["speedup_vs_single_window"] = (
-                        agg["cycles_per_sec"] / single["cycles_per_sec"]
-                    )
-                results.append(agg)
             if verbose:
-                for case in results[-len(by_engine) - (windows > 1):]:
+                for case in by_engine.values():
                     print(
-                        "  %-12s %-20s %-9s w=%-2d %8.0f kc/s" % (
+                        "  %-12s %-20s %-9s %8.0f kc/s" % (
                             case["workload"], case["config"],
-                            case["engine"], case["windows"],
+                            case["engine"],
                             case["cycles_per_sec"] / 1000.0,
                         )
                     )
-    single_rows = [c for c in results if c["windows"] == 1]
-    speedups = [
-        c["speedup_vs_no_ff"] for c in single_rows
-        if "speedup_vs_no_ff" in c
-    ]
+    speedups = [c["speedup_vs_no_ff"] for c in results]
     rates = [c["cycles_per_sec"] for c in results]
     engine_ratios = [
-        c["speedup_fast_vs_reference_no_ff"] for c in single_rows
+        c["speedup_fast_vs_reference_no_ff"] for c in results
         if "speedup_fast_vs_reference_no_ff" in c
     ]
     payload: Dict[str, object] = {
@@ -422,7 +338,6 @@ def run_simspeed(
         "repeats": repeats,
         "seed": seed,
         "engines": list(engines),
-        "windows": windows,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "results": results,
@@ -492,10 +407,9 @@ def profile_case(
 
 
 def _slowest_row(payload: Dict[str, object]) -> Optional[Dict[str, object]]:
-    """The single-window row with the lowest kc/s (profiling target)."""
+    """The row with the lowest kc/s (profiling target)."""
     rows = [
-        c for c in payload.get("results", [])
-        if c.get("windows") == 1 and c.get("cycles_per_sec")
+        c for c in payload.get("results", []) if c.get("cycles_per_sec")
     ]
     if not rows:
         return None
@@ -511,19 +425,19 @@ def render_simspeed(payload: Dict[str, object]) -> str:
             payload["seed"], payload["python"],
         ),
         "",
-        "%-12s %-20s %-9s %3s %10s %10s %10s %8s %8s" % (
-            "workload", "config", "engine", "win", "sim-cycles",
+        "%-12s %-20s %-9s %10s %10s %10s %8s %8s" % (
+            "workload", "config", "engine", "sim-cycles",
             "kc/s (ff)", "kc/s (off)", "ff-spd", "vs-ref",
         ),
-        "-" * 100,
+        "-" * 96,
     ]
     for case in payload["results"]:
         no_ff = case.get("cycles_per_sec_no_ff")
         ratio = case.get("speedup_fast_vs_reference_no_ff")
         lines.append(
-            "%-12s %-20s %-9s %3d %10d %10.0f %10s %8s %8s" % (
+            "%-12s %-20s %-9s %10d %10.0f %10s %8s %8s" % (
                 case["workload"], case["config"], case["engine"],
-                case["windows"], case["cycles"],
+                case["cycles"],
                 case["cycles_per_sec"] / 1000.0,
                 "%.0f" % (no_ff / 1000.0) if no_ff else "-",
                 "%.2fx" % case["speedup_vs_no_ff"]
@@ -532,7 +446,7 @@ def render_simspeed(payload: Dict[str, object]) -> str:
             )
         )
     agg = payload["aggregate"]
-    lines.append("-" * 100)
+    lines.append("-" * 96)
     lines.append(
         "fast-forward speedup: min %.2fx, max %.2fx; best rate %.0f kc/s"
         % (
@@ -564,6 +478,13 @@ def render_simspeed(payload: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
+def _compare_key(case: Dict[str, object]):
+    """The identity of one row: ``(workload, config, engine)``."""
+    return (
+        case["workload"], case["config"], case.get("engine", "reference"),
+    )
+
+
 def compare_simspeed(
     payload: Dict[str, object],
     baseline: Dict[str, object],
@@ -571,7 +492,7 @@ def compare_simspeed(
 ) -> List[str]:
     """Warnings for cases slower than *baseline* by more than *threshold*.
 
-    Compares ``cycles_per_sec`` per (workload, config, engine, windows).
+    Compares ``cycles_per_sec`` per (workload, config, engine).
     Returns human-readable warning strings — the CI job prints them and
     still exits 0, because shared-runner wall clocks are far too noisy
     for a hard perf gate (that is :func:`gate_simspeed`'s job, and it
@@ -596,26 +517,19 @@ def compare_simspeed(
                 % (key, baseline.get(key), payload.get(key))
             ]
     reference = {
-        (
-            case["workload"], case["config"],
-            case.get("engine", "reference"), case.get("windows", 1),
-        ): case
-        for case in baseline.get("results", [])
+        _compare_key(case): case for case in baseline.get("results", [])
     }
     for case in payload["results"]:
-        key = (
-            case["workload"], case["config"],
-            case.get("engine", "reference"), case.get("windows", 1),
-        )
+        key = _compare_key(case)
         base = reference.get(key)
         if base is None or not base["cycles_per_sec"]:
             continue
         ratio = case["cycles_per_sec"] / base["cycles_per_sec"]
         if ratio < 1.0 - threshold:
             warnings.append(
-                "WARNING: %s/%s [%s, w=%d] simulates at %.0f kc/s, "
+                "WARNING: %s/%s [%s] simulates at %.0f kc/s, "
                 "%.0f%% below the baseline's %.0f kc/s" % (
-                    key[0], key[1], key[2], key[3],
+                    key[0], key[1], key[2],
                     case["cycles_per_sec"] / 1000.0,
                     (1.0 - ratio) * 100.0,
                     base["cycles_per_sec"] / 1000.0,
@@ -643,8 +557,7 @@ def gate_simspeed(
     for case in payload.get("results", []):
         if (case.get("workload") == workload
                 and case.get("config") == config
-                and case.get("engine") == "fast"
-                and case.get("windows") == 1):
+                and case.get("engine") == "fast"):
             row = case
             break
     if row is None:
@@ -680,9 +593,9 @@ def _history_rates(payload: Dict[str, object]) -> Dict[str, float]:
     """Flatten a simspeed payload to ``key -> cycles_per_sec``."""
     rates: Dict[str, float] = {}
     for case in payload.get("results", []):
-        key = "%s/%s/%s/w%d" % (
+        key = "%s/%s/%s" % (
             case.get("workload", "?"), case.get("config", "?"),
-            case.get("engine", "reference"), case.get("windows", 1),
+            case.get("engine", "reference"),
         )
         rates[key] = round(float(case.get("cycles_per_sec", 0.0)), 1)
     return rates

@@ -309,8 +309,7 @@ class MicroProgram:
     Every list is indexed by static PC (instruction index).  The arrays
     carry only *static* facts — the dynamic state stays on
     :class:`~repro.core.rob.DynInstr` — so one ``MicroProgram`` is safely
-    shared by any number of concurrently running cores (the lockstep
-    multi-window runner relies on this).
+    shared by every core built from the same program.
     """
 
     __slots__ = (

@@ -305,7 +305,7 @@ class MetricsRegistry:
             hist.observe(int(elapsed * 1000.0))
 
     def ingest_cache_stats(self, cache_stats, **labels: str) -> None:
-        """Fold a :class:`~repro.engine.cache.CacheStats` block in."""
+        """Fold a :class:`~repro.engine.store.CacheStats` block in."""
         for name in ("hits", "misses", "stores", "errors"):
             self.counter(
                 "cache_" + name, "result-cache accounting"

@@ -5,7 +5,7 @@ plain-JSON ``spec`` validated here before anything touches the queue:
 
 * ``sweep`` — a SMARTS sampling sweep (benchmarks x configs x samples),
   executed through :func:`repro.engine.run_jobs` with the shared
-  content-addressed :class:`~repro.engine.cache.ResultCache`;
+  content-addressed :class:`~repro.engine.store.ResultCache`;
 * ``attack`` — one attack PoC on one configuration, run as an
   :class:`AttackJob` through the same engine job layer (the third
   implementation of the ``SimJob``/``FuzzJob`` polymorphic contract);
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import ConfigSpec, config_registry
-from repro.engine.cache import ResultCache, _code_version, job_cache_key
+from repro.engine.store import ResultCache, _code_version, job_cache_key
 from repro.engine.jobs import SimJob, expand_jobs
 from repro.errors import ReproError
 

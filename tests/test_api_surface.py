@@ -120,11 +120,7 @@ class TestConsolidatedFacade:
             api.not_a_thing
 
     def test_no_in_repo_caller_of_retired_shims(self):
-        """src/, benchmarks/, and examples/ must not call the shims.
-
-        The defining modules (which hold the shims) and this scan are
-        the only survivors.
-        """
+        """src/, benchmarks/, and examples/ must not call the shims."""
         import re
         from pathlib import Path
 
@@ -136,8 +132,6 @@ class TestConsolidatedFacade:
             if not base.is_dir():
                 continue
             for path in sorted(base.rglob("*.py")):
-                if path.name in ("ooo.py", "inorder.py"):
-                    continue
                 for lineno, line in enumerate(
                     path.read_text().splitlines(), 1
                 ):

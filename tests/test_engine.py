@@ -239,30 +239,19 @@ class TestSimulateFacade:
         assert inorder.cpi >= ooo.cpi  # serial core is never faster
         assert inorder.stats.ilp <= 1.0
 
-    def test_shims_delegate_with_deprecation_warning(self):
-        # The retired names are gone from the package surface and
-        # survive only on their defining modules.
-        from repro.core.inorder import run_inorder
-        from repro.core.ooo import run_program
-
-        program = spec_program("exchange2", 1_500, seed=1)
-        with pytest.warns(DeprecationWarning, match="repro.simulate"):
-            legacy = run_program(program, baseline_ooo())
-        assert legacy.stats.cycles == \
-            simulate(program, baseline_ooo()).stats.cycles
-        with pytest.warns(DeprecationWarning, match="in_order=True"):
-            legacy_io = run_inorder(program)
-        assert legacy_io.stats.cycles == \
-            simulate(program, in_order=True).stats.cycles
-
     def test_shims_retired_from_package_exports(self):
         import repro
         import repro.core
+        import repro.core.inorder
+        import repro.core.ooo
 
         for retired in ("run_program", "run_inorder"):
             assert retired not in repro.__all__
             assert retired not in repro.core.__all__
             assert not hasattr(repro, retired)
+            # ... nor on the core modules.
+            assert not hasattr(repro.core.ooo, retired)
+            assert not hasattr(repro.core.inorder, retired)
 
 
 class TestConfigRegistry:

@@ -163,7 +163,7 @@ class TestEngineEvents:
         assert all(e["dur"] >= 1 for e in executes)
 
     def test_cache_hits_become_instants(self, tmp_path):
-        from repro.engine.cache import ResultCache
+        from repro.engine.store import ResultCache
 
         cache = ResultCache(tmp_path)
         self._job_trace(tmp_path, cache=cache)

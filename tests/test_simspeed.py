@@ -3,10 +3,16 @@ measurement (`bench-simspeed --obs`)."""
 
 from __future__ import annotations
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.harness.simspeed import (
+    _compare_key,
     compare_simspeed,
+    gate_simspeed,
     measure_case,
     measure_obs_overhead,
     render_simspeed,
@@ -100,3 +106,22 @@ class TestCompare:
 
     def test_identical_payload_is_clean(self, obs_payload):
         assert compare_simspeed(obs_payload, obs_payload) == []
+
+
+class TestCheckedInBaseline:
+    """The committed BENCH_simspeed.json is a usable compare baseline."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        path = Path(__file__).resolve().parent.parent / "BENCH_simspeed.json"
+        return json.loads(path.read_text())
+
+    def test_one_row_per_compare_key(self, baseline):
+        keys = Counter(_compare_key(case) for case in baseline["results"])
+        assert keys and max(keys.values()) == 1
+
+    def test_self_compare_is_clean(self, baseline):
+        assert compare_simspeed(baseline, baseline) == []
+
+    def test_gate_finds_its_row(self, baseline):
+        assert gate_simspeed(baseline) == []

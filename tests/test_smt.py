@@ -2,8 +2,8 @@
 
 Three contracts:
 
-* **Guard rails** — the fast engine, the lockstep runners, and
-  ``make_core`` all reject multi-context configs with a clear
+* **Guard rails** — the fast engine and ``make_core`` reject
+  multi-context configs with a clear
   :class:`~repro.errors.ConfigError` pointing at ``SmtMachine``.
 * **Single-context bit-identity** — ``num_contexts=1`` (explicit or
   default) is invisible: cache keys and ``to_dict`` payloads are
@@ -28,11 +28,6 @@ from repro.core import make_core
 from repro.debug.trace import TraceRecord
 from repro.errors import ConfigError
 from repro.fuzz.generator import generate_smt
-from repro.harness.multiwindow import (
-    WindowTask,
-    run_cores_lockstep,
-    run_windows,
-)
 from repro.obs import smt_trace_events
 from repro.smt import SmtMachine, run_pair
 from repro.workloads import spec_program
@@ -77,22 +72,6 @@ def test_smt_machine_rejects_wrong_program_count():
     program = spec_program("mcf", 200, seed=0)
     with pytest.raises(ConfigError, match="programs"):
         SmtMachine([program], config)
-
-
-def test_run_windows_rejects_two_contexts():
-    task = WindowTask(
-        benchmark="mix", config=_two_context(), instructions=1_000, seed=0,
-    )
-    with pytest.raises(ConfigError, match="SmtMachine"):
-        run_windows([task])
-
-
-def test_run_cores_lockstep_rejects_two_contexts():
-    class FakeCore:
-        config = _two_context()
-
-    with pytest.raises(ConfigError, match="SmtMachine"):
-        run_cores_lockstep([FakeCore()], max_cycles=100)
 
 
 # ---------------------------------------------------------------------- #
