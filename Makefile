@@ -27,12 +27,14 @@ fuzz-smoke:
 
 # Cross-context (repro.smt) smoke: the three co-resident attack pairs
 # on the insecure baseline, one NDA policy, InvisiSpec, and
-# FenceOnBranch; exits nonzero if any cell diverges from the taxonomy's
-# expected leak/block claim — including InvisiSpec's deliberate
-# cross-btb escape (mirrors CI).
+# FenceOnBranch at the default guess count; exits nonzero if any cell
+# diverges from the taxonomy's expected leak/block claim — including
+# InvisiSpec's deliberate cross-btb escape.  Then a short paired fuzz
+# campaign, which fails on any counterexample (mirrors CI).
 smt-smoke:
-	$(PYTHON) -m repro.cli matrix --cross --guesses 16 \
+	$(PYTHON) -m repro.cli matrix --cross \
 		--configs ooo strict invisispec-spectre fence-on-branch
+	$(PYTHON) -m repro.cli fuzz run --smt --seeds 10 --jobs 2
 
 # Telemetry smoke: trace a Spectre v1 run under NDA strict, validate
 # the run manifest it recorded, and render its metric snapshot

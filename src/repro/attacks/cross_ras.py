@@ -77,17 +77,13 @@ def build_programs(
     """Assemble the (attacker, victim) pair."""
     guesses = guesses if guesses is not None else default_guesses(secret)
 
-    # Attacker (context 0).
+    # Attacker (context 0).  The push loop sits at a fixed PC behind a
+    # jump, so the call site stays at GADGET_PC - 1 however long the
+    # guess-dependent probe-flush prologue in ``main`` grows.
     atk = Assembler("cross_ras_attacker")
-    emit_spin_nonzero(atk, IN_FUNC_FLAG)
-    emit_probe_flush(atk, guesses)
-    atk.li(R20, DELAY_ADDR)
-    atk.clflush(R20, 0)
-    atk.fence()
-    atk.li(R15, 0)
-    atk.li(R16, N_PUSHES)
-    atk.label("push_loop")
+    atk.jmp("main")
     pad_to(atk, GADGET_PC - 1)
+    atk.label("push_loop")
     atk.call("sink")  # fetch pushes pc + 1 == GADGET_PC onto the shared RAS
     atk.label("sink")
     atk.addi(R15, R15, 1)
@@ -102,6 +98,16 @@ def build_programs(
     emit_spin_nonzero(atk, DONE_FLAG)
     emit_cache_recover(atk, guesses)
     atk.halt()
+
+    atk.label("main")
+    emit_spin_nonzero(atk, IN_FUNC_FLAG)
+    emit_probe_flush(atk, guesses)
+    atk.li(R20, DELAY_ADDR)
+    atk.clflush(R20, 0)
+    atk.fence()
+    atk.li(R15, 0)
+    atk.li(R16, N_PUSHES)
+    atk.jmp("push_loop")
 
     # Victim (context 1).
     vic = Assembler("cross_ras_victim")

@@ -222,13 +222,6 @@ class SimConfig:
     # flaw).  The paper's baseline OoO has this flaw; NDA does not need it
     # fixed because load restriction makes it unexploitable.
     forward_faulting_loads: bool = True
-    # OoO execution engine: "fast" (the table-driven micro-op core, the
-    # default) or "reference" (the readable reference pipeline).  The two
-    # are pinned cycle- and counter-identical by the golden equivalence
-    # tests, so — like the fast_forward knob — the engine choice is
-    # deliberately EXCLUDED from to_dict()/cache_key(): both engines must
-    # share cached results.
-    engine: str = "fast"
     # Hardware contexts sharing microarchitectural state (repro.smt).
     # ``num_contexts=1`` (the default) is the classic single-context
     # machine; ``num_contexts=2`` runs two programs co-resident under the
@@ -254,15 +247,6 @@ class SimConfig:
             params = replace(params, **overrides)
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "scheme_params", params)
-        # Guard rail (not deferred to validate()): the fast engine is
-        # single-context this PR, and silently running a two-context
-        # config on it would produce wrong results.
-        if self.num_contexts > 1 and self.engine == "fast":
-            raise ConfigError(
-                "num_contexts=%d requires engine='reference': the fast "
-                "core is single-context (pass engine='reference' or use "
-                "repro.smt helpers, which do so)" % self.num_contexts
-            )
 
     @property
     def nda_policy(self) -> Optional[NDAPolicyName]:
@@ -282,11 +266,6 @@ class SimConfig:
                     type(self.scheme_params).__name__,
                 )
             )
-        if self.engine not in ("fast", "reference"):
-            raise ConfigError(
-                "unknown engine %r (expected 'fast' or 'reference')"
-                % (self.engine,)
-            )
         if self.num_contexts not in (1, 2):
             raise ConfigError(
                 "num_contexts must be 1 or 2 (got %r)" % (self.num_contexts,)
@@ -305,11 +284,7 @@ class SimConfig:
         return scheme_info(self.scheme).model.label_for(self.scheme_params)
 
     def to_dict(self) -> dict:
-        """Nested plain-dict form (enums become their string values).
-
-        ``engine`` is omitted: both engines are bit-identical, so result
-        cache keys must not distinguish them (see the field comment).
-        """
+        """Nested plain-dict form (enums become their string values)."""
 
         def convert(obj):
             if isinstance(obj, enum.Enum):
@@ -321,7 +296,6 @@ class SimConfig:
             return obj
 
         payload = asdict(self)
-        payload.pop("engine", None)
         if self.num_contexts == 1:
             # Single-context configs serialize exactly as they did before
             # the context model existed, keeping cache keys and golden

@@ -20,14 +20,14 @@ def make_core(
     *,
     direction_predictor: str = "tournament",
     fast_forward: bool = True,
-) -> OutOfOrderCore:
-    """Construct the OoO core selected by ``config.engine``.
+) -> FastOoOCore:
+    """Construct the single-context OoO core: a :class:`FastOoOCore`.
 
-    ``"fast"`` (the default) builds the table-driven
-    :class:`FastOoOCore`; ``"reference"`` builds the readable reference
-    :class:`OutOfOrderCore`.  Both are pinned bit-identical by the golden
-    equivalence tests, so callers may treat the choice as a pure
-    host-speed knob.
+    The fast core is pinned bit-identical to the reference
+    :class:`OutOfOrderCore` by the golden equivalence tests; only tests
+    and simspeed's ``reference`` rows build the reference core, and they
+    do so directly.  Two-context configs run through
+    :class:`repro.smt.SmtMachine`.
     """
     from repro.errors import ConfigError
 
@@ -37,8 +37,7 @@ def make_core(
             "make_core() builds single-context cores; two-context configs "
             "run through repro.smt.SmtMachine"
         )
-    cls = OutOfOrderCore if config.engine == "reference" else FastOoOCore
-    return cls(
+    return FastOoOCore(
         program, config, direction_predictor=direction_predictor,
         fast_forward=fast_forward,
     )

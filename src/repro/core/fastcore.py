@@ -16,9 +16,10 @@ files (``tests/golden/scheme_equivalence.json``) pin this bit-identity
 for all registered schemes.  Anything off the hot path (squash, store
 resolution, faults, fast-forward bookkeeping) is inherited unchanged.
 
-Select the core with ``SimConfig.engine`` ("fast", the default, or
-"reference") through :func:`repro.core.make_core`; the knob is excluded
-from the config cache key precisely because results are bit-identical.
+It is the one core production code builds: :func:`repro.core.make_core`
+for single-context runs and :class:`repro.smt.SmtMachine` for every
+hardware context.  The reference core stays as the comparison the
+equivalence tests and simspeed's ``reference`` rows run against.
 """
 
 from __future__ import annotations
@@ -262,10 +263,13 @@ class FastOoOCore(OutOfOrderCore):
         config: Optional[SimConfig] = None,
         direction_predictor: str = "tournament",
         fast_forward: bool = True,
+        *,
+        ctx: int = 0,
+        shared: Optional["SharedState"] = None,
     ):
         super().__init__(
             program, config, direction_predictor=direction_predictor,
-            fast_forward=fast_forward,
+            fast_forward=fast_forward, ctx=ctx, shared=shared,
         )
         self.u = lower_program(program)
         core = self.config.core

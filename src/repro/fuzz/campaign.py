@@ -228,7 +228,6 @@ def run_smt_seed(
     pair = generate_smt(seed, template=template)
     config = replace(
         spec.config, num_contexts=2, sharing=pair.sharing,
-        engine="reference",
     ).validate()
     machine = SmtMachine([pair.attacker, pair.victim.program], config)
     oracle = TaintOracle(

@@ -34,11 +34,11 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import config_registry
-from repro.core import make_core
+from repro.core import FastOoOCore, OutOfOrderCore
+from repro.errors import ConfigError
 from repro.workloads.generator import spec_program
 
 #: Default measurement matrix: one DRAM-latency-bound workload (mcf,
@@ -64,11 +64,18 @@ class SimSpeedError(RuntimeError):
     """Raised when two must-be-identical runs diverge."""
 
 
+#: The core class each row's ``engine`` label measures.
+ENGINE_CORES = {"reference": OutOfOrderCore, "fast": FastOoOCore}
+
+
 def _build_core(program, config, engine: str, fast_forward: bool):
     """One measured core, constructed OUTSIDE any timer."""
-    return make_core(
-        program, replace(config, engine=engine), fast_forward=fast_forward,
-    )
+    if engine not in ENGINE_CORES:
+        raise ConfigError(
+            "unknown engine %r (expected one of %s)"
+            % (engine, ", ".join(ENGINE_CORES))
+        )
+    return ENGINE_CORES[engine](program, config, fast_forward=fast_forward)
 
 
 def _time_run(program, config, engine: str, fast_forward: bool,

@@ -313,7 +313,7 @@ class MicroProgram:
     """
 
     __slots__ = (
-        "program", "n",
+        "n",
         "op_ids", "kinds", "flags", "fu_ids", "latency",
         "rd", "srcs", "imm", "target",
         "exec_fns", "cond_fns",
@@ -322,7 +322,6 @@ class MicroProgram:
     def __init__(self, program: Program):
         instrs = program.instrs
         n = len(instrs)
-        self.program = program
         self.n = n
         self.op_ids: List[int] = [0] * n
         self.kinds: List[int] = [0] * n

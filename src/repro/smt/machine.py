@@ -1,6 +1,6 @@
 """The two-context machine: construction, arbitration, and the run loop.
 
-The model deliberately reuses the reference :class:`OutOfOrderCore`
+The model deliberately reuses the production :class:`FastOoOCore`
 unchanged: each hardware context is one core instance holding the
 context's *private* state (ROB, IQ, LSQ, rename tables, fetch buffer), so
 per-context squash and recovery come from the existing machinery for
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.config import CoreConfig, SimConfig
-from repro.core.ooo import OutOfOrderCore
+from repro.core.fastcore import FastOoOCore
 from repro.core.outcome import RunOutcome
 from repro.errors import ConfigError
 from repro.frontend.btb import BTB
@@ -90,16 +90,14 @@ def context_config(config: SimConfig) -> SimConfig:
     """The per-context SimConfig derived from a two-context *config*.
 
     SMT mode partitions the back end; shared-L2 mode keeps full private
-    cores.  The derived config is single-context (each context's core is
-    an ordinary core) on the reference engine.
+    cores.  The derived config is single-context: each context's core is
+    an ordinary core.
     """
     core = (
         partitioned_core_config(config.core)
         if config.sharing == "smt" else config.core
     )
-    return replace(
-        config, core=core, num_contexts=1, engine="reference"
-    ).validate()
+    return replace(config, core=core, num_contexts=1).validate()
 
 
 class SmtMachine:
@@ -114,9 +112,9 @@ class SmtMachine:
         they intentionally communicate (see ``CROSS_MAPS`` in
         :mod:`repro.attacks.common`).
     config:
-        A validated two-context :class:`SimConfig`
-        (``num_contexts=2``, ``engine="reference"``; the fast engine is
-        rejected at SimConfig construction).
+        A validated two-context :class:`SimConfig` (``num_contexts=2``).
+        Every context runs on :class:`FastOoOCore`, the same core
+        :func:`~repro.core.make_core` builds for single-context runs.
     """
 
     def __init__(
@@ -126,9 +124,7 @@ class SmtMachine:
         direction_predictor: str = "tournament",
         fast_forward: bool = True,
     ):
-        config = (config or SimConfig(
-            num_contexts=2, engine="reference"
-        )).validate()
+        config = (config or SimConfig(num_contexts=2)).validate()
         if config.num_contexts != len(programs):
             raise ConfigError(
                 "config.num_contexts=%d but %d programs supplied"
@@ -164,8 +160,8 @@ class SmtMachine:
                     mem=mem,
                     hierarchy=MemoryHierarchy(config.mem, l2=first.l2),
                 ))
-        self.cores: List[OutOfOrderCore] = [
-            OutOfOrderCore(
+        self.cores: List[FastOoOCore] = [
+            FastOoOCore(
                 program, ctx_cfg,
                 direction_predictor=direction_predictor,
                 fast_forward=fast_forward,

@@ -18,7 +18,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.attacks import cross_btb
+from repro.attacks import cross_btb, cross_ras
+from repro.attacks.common import default_guesses
 from repro.attacks.taxonomy import CROSS_IMPLEMENTED, expected_leak
 from repro.config import config_registry
 from repro.errors import ConfigError
@@ -79,6 +80,20 @@ def test_cross_btb_rejects_indistinguishable_secret():
     # be indistinguishable from "blocked" — the PoC refuses it.
     with pytest.raises(ValueError):
         cross_btb.run(config_registry()["ooo"].config, secret=16)
+
+
+def test_cross_ras_call_site_is_independent_of_guess_count():
+    # The attacker's probe-flush prologue grows with the guess list; the
+    # RAS-poisoning call must still land at GADGET_PC - 1.
+    attacker, _ = cross_ras.build_programs(42, default_guesses(42, 256))
+    call = attacker.instrs[cross_ras.GADGET_PC - 1]
+    assert call.info.is_call
+    registry = config_registry()
+    guesses = default_guesses(42, 32)
+    assert cross_ras.run(registry["ooo"].config, guesses=guesses).leaked
+    assert not cross_ras.run(
+        registry["strict"].config, guesses=guesses
+    ).leaked
 
 
 def test_cross_matrix_rows_skip_in_order():

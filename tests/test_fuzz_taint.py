@@ -16,7 +16,7 @@ from repro.api import simulate
 from repro.attacks.common import PROBE_BASE, SCRATCH_BASE
 from repro.config import config_registry
 from repro.core.ooo import OutOfOrderCore
-from repro.fuzz import TaintOracle, generate, run_with_oracle
+from repro.fuzz import TEMPLATES, TaintOracle, generate, run_with_oracle
 from repro.isa.assembler import Assembler
 from repro.isa.registers import R5, R6, R10, R11, R12, R20, R21
 
@@ -174,6 +174,35 @@ class TestTransparency:
         assert core.hierarchy.observer is None
         assert core.btb.observer is None
         assert core.lsq.taint_hook is None
+
+    @pytest.mark.parametrize(
+        "config_name", ["ooo", "strict", "invisispec-spectre",
+                        "fence-on-branch"],
+    )
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_run_with_oracle_matches_reference_core(
+        self, template, config_name
+    ):
+        """``run_with_oracle`` (the fast core) sees what the reference
+        core sees: same cycles, same witnesses, seed for seed."""
+        config = config_registry()[config_name].config
+        for seed in range(4):
+            fp = generate(seed, template=template)
+            outcome, witnesses = run_with_oracle(
+                fp.program, config,
+                secret_ranges=fp.secret_ranges,
+                tainted_bytes=fp.tainted_bytes,
+            )
+            core = OutOfOrderCore(fp.program, config)
+            oracle = TaintOracle(
+                secret_ranges=fp.secret_ranges,
+                tainted_bytes=fp.tainted_bytes,
+            )
+            oracle.attach(core)
+            reference = core.run(max_cycles=400_000)
+            assert (outcome.stats.cycles, witnesses) == (
+                reference.stats.cycles, oracle.witnesses
+            ), "seed %d" % seed
 
     def test_run_with_oracle_leaves_no_hooks_behind(self):
         fp = generate(2)

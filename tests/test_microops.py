@@ -16,13 +16,16 @@ evaluator's architectural state under every protection scheme.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.core import make_core
 from repro.core.ooo import OutOfOrderCore
 from repro.errors import SimulationError
+from repro.isa import microops
 from repro.isa.instruction import Instr
 from repro.isa.microops import (
     ALU_FACTORIES,
@@ -229,6 +232,20 @@ class TestLowering:
         assert lower_program(program) is lower_program(program)
         other = spec_program("mcf", instructions=200, seed=3)
         assert lower_program(other) is not lower_program(program)
+
+    def test_lowering_does_not_keep_the_program_alive(self):
+        # The cache is weak on the program: once the last outside
+        # reference goes, so does the entry (and the data image).
+        gc.collect()
+        before = len(microops._CACHE)
+        program = spec_program("mcf", instructions=200, seed=5)
+        lower_program(program)
+        assert len(microops._CACHE) == before + 1
+        ref = weakref.ref(program)
+        del program
+        gc.collect()
+        assert ref() is None
+        assert len(microops._CACHE) == before
 
 
 def _counters(stats):

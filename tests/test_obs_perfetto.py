@@ -192,7 +192,6 @@ class TestSmtCrossAttackTrace:
         pair = generate_smt(3, template="smt-btb-poison")
         config = replace(
             SimConfig(), num_contexts=2, sharing="smt",
-            engine="reference",
         ).validate()
         machine = SmtMachine(
             [pair.attacker, pair.victim.program], config,

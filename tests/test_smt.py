@@ -1,10 +1,9 @@
 """Two-context co-residency model (:mod:`repro.smt`).
 
-Three contracts:
+Four contracts:
 
-* **Guard rails** — the fast engine and ``make_core`` reject
-  multi-context configs with a clear
-  :class:`~repro.errors.ConfigError` pointing at ``SmtMachine``.
+* **Guard rails** — ``make_core`` rejects multi-context configs with a
+  clear :class:`~repro.errors.ConfigError` pointing at ``SmtMachine``.
 * **Single-context bit-identity** — ``num_contexts=1`` (explicit or
   default) is invisible: cache keys and ``to_dict`` payloads are
   unchanged, and the golden scheme-equivalence counters reproduce
@@ -12,6 +11,9 @@ Three contracts:
 * **Arbiter determinism** — the same program pair under the same config
   produces the same round-robin interleaving (pinned by the machine's
   sha256 interleave digest) and the same per-context counters.
+* **Core equivalence** — every context runs on the fast core, and a
+  machine built on the reference core instead produces the same
+  counters, registers, interleaving and oracle witnesses.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from dataclasses import replace
 
 import pytest
 
+import repro.smt.machine
 from repro.api import simulate
+from repro.attacks.taxonomy import CROSS_IMPLEMENTED
 from repro.config import SimConfig, config_registry
-from repro.core import make_core
+from repro.core import FastOoOCore, OutOfOrderCore, make_core
 from repro.debug.trace import TraceRecord
 from repro.errors import ConfigError
+from repro.fuzz import SMT_TEMPLATES, run_smt_seed
 from repro.fuzz.generator import generate_smt
 from repro.obs import smt_trace_events
 from repro.smt import SmtMachine, run_pair
@@ -36,9 +41,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "scheme_equivalence.json"
 
 
 def _two_context(sharing: str = "smt") -> SimConfig:
-    return replace(
-        SimConfig(), num_contexts=2, sharing=sharing, engine="reference"
-    ).validate()
+    return replace(SimConfig(), num_contexts=2, sharing=sharing).validate()
 
 
 # ---------------------------------------------------------------------- #
@@ -46,19 +49,11 @@ def _two_context(sharing: str = "smt") -> SimConfig:
 # ---------------------------------------------------------------------- #
 
 
-def test_fast_engine_rejects_two_contexts():
-    with pytest.raises(ConfigError, match="reference"):
-        SimConfig(num_contexts=2, engine="fast")
-
-
 def test_validate_rejects_bad_context_counts_and_sharing():
     with pytest.raises(ConfigError, match="num_contexts"):
-        replace(SimConfig(), num_contexts=3, engine="reference").validate()
+        replace(SimConfig(), num_contexts=3).validate()
     with pytest.raises(ConfigError, match="sharing"):
-        replace(
-            SimConfig(), num_contexts=2, sharing="bogus",
-            engine="reference",
-        ).validate()
+        replace(SimConfig(), num_contexts=2, sharing="bogus").validate()
 
 
 def test_make_core_rejects_two_contexts():
@@ -83,7 +78,7 @@ def test_context_fields_absent_from_single_context_payloads():
     base = SimConfig()
     assert "num_contexts" not in base.to_dict()
     assert "sharing" not in base.to_dict()
-    two = replace(base, num_contexts=2, engine="reference")
+    two = replace(base, num_contexts=2)
     assert two.to_dict()["num_contexts"] == 2
     assert two.to_dict()["sharing"] == "smt"
 
@@ -92,7 +87,7 @@ def test_cache_key_unchanged_by_explicit_single_context():
     base = SimConfig()
     explicit = replace(base, num_contexts=1, sharing="l2")
     assert explicit.cache_key() == base.cache_key()
-    two = replace(base, num_contexts=2, engine="reference")
+    two = replace(base, num_contexts=2)
     assert two.cache_key() != base.cache_key()
 
 
@@ -180,6 +175,92 @@ def test_run_pair_matches_machine_run():
     assert [
         (o.stats.cycles, o.stats.committed) for o in direct
     ] == [(o.stats.cycles, o.stats.committed) for o in wrapped]
+
+
+# ---------------------------------------------------------------------- #
+# Fast core vs reference core.
+# ---------------------------------------------------------------------- #
+
+CORE_CONFIGS = ("ooo", "strict", "invisispec-spectre", "fence-on-branch")
+
+
+def _counters(stats):
+    data = stats.to_dict()
+    data.pop("sim_wall_seconds", None)
+    data.pop("kilo_cycles_per_sec", None)
+    return data
+
+
+def _on_core(monkeypatch, core_cls, fn):
+    """Call *fn* with every SMT context built as *core_cls*.
+
+    Returns ``(result, runs)``: *fn*'s result plus, per machine run, the
+    interleave digest and each context's counters and final registers.
+    """
+    runs = []
+
+    class Recording(SmtMachine):
+        def run(self, *args, **kwargs):
+            outcomes = super().run(*args, **kwargs)
+            assert all(type(core) is core_cls for core in self.cores)
+            runs.append((
+                self.interleave_digest(),
+                [(_counters(o.stats), o.state.regs) for o in outcomes],
+            ))
+            return outcomes
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.smt, "SmtMachine", Recording)
+        if core_cls is OutOfOrderCore:
+            patch.setattr(repro.smt.machine, "FastOoOCore", OutOfOrderCore)
+        result = fn()
+    assert runs, "fn never ran an SmtMachine"
+    return result, runs
+
+
+_CROSS_CASES = [
+    (info, name) for info in CROSS_IMPLEMENTED for name in CORE_CONFIGS
+]
+
+
+@pytest.mark.parametrize(
+    "info,config_name", _CROSS_CASES,
+    ids=["%s-%s" % (i.name, n) for i, n in _CROSS_CASES],
+)
+def test_cross_attacks_identical_on_both_cores(
+    monkeypatch, info, config_name
+):
+    config = config_registry()[config_name].config
+
+    def attack():
+        outcome = info.module.run(config, guesses=list(range(32, 52)))
+        return outcome.timings, outcome.leaked
+
+    fast = _on_core(monkeypatch, FastOoOCore, attack)
+    reference = _on_core(monkeypatch, OutOfOrderCore, attack)
+    assert fast == reference
+
+
+_SEED_CASES = [
+    (seed, template, name)
+    for template in SMT_TEMPLATES for seed in (0, 1, 2)
+    for name in CORE_CONFIGS
+]
+
+
+@pytest.mark.parametrize(
+    "seed,template,config_name", _SEED_CASES,
+    ids=["%s-%d-%s" % (t, s, n) for s, t, n in _SEED_CASES],
+)
+def test_smt_fuzz_seed_identical_on_both_cores(
+    monkeypatch, seed, template, config_name
+):
+    def fuzz():
+        return run_smt_seed(seed, config_name, template=template).to_dict()
+
+    fast = _on_core(monkeypatch, FastOoOCore, fuzz)
+    reference = _on_core(monkeypatch, OutOfOrderCore, fuzz)
+    assert fast == reference
 
 
 # ---------------------------------------------------------------------- #
