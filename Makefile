@@ -2,7 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test attack-smoke bench-smoke fuzz-smoke obs-smoke server-smoke \
-	scale-smoke smt-smoke trace-smoke bench bench-simspeed cache-clear
+	scale-smoke smt-smoke trace-smoke perfbench-check bench bench-simspeed \
+	cache-clear
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -67,6 +68,25 @@ scale-smoke:
 # causally-linked spans from every process (mirrors CI).
 trace-smoke:
 	$(PYTHON) benchmarks/trace_smoke.py
+
+# Job-level benchmark's bit-identity gate: one short untraced call of
+# each perfbench workload at seed 0.  Its fingerprints digest every
+# sweep result, every witness of the 1000 fuzz runs and of the 200 SMT
+# runs, so a change that moves any of them fails here.  run.py exits 0
+# either way, so the JSON on its last line must say "correct": true.
+# Then perfbench's own tests (mirrors CI).
+PERFBENCH_WORKLOADS := fig7-sweep fuzz-campaign smt-fuzz
+
+perfbench-check:
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		out=$$($(PYTHON) perfbench/run.py --workload $$workload \
+			--seed 0 --seconds 1 --trace 0) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | $(PYTHON) -c \
+			'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)' \
+			|| { echo "perfbench-check: $$workload is not correct"; exit 1; }; \
+	done
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Simulator-speed benchmark: host kilo-cycles/sec with the idle-cycle
 # fast-forward on vs off, plus telemetry-bus overhead; refreshes the

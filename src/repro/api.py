@@ -26,9 +26,8 @@ The shared keywords mean the same thing everywhere they appear:
     ``results/manifests/`` (or ``REPRO_MANIFEST_DIR``).  Opt-in so bulk
     callers like the test suite produce no files.
 
-The historical ``run_program``/``run_inorder`` split is gone from the
-public surface; the old names survive only as deprecation shims on their
-defining modules (:mod:`repro.core.ooo`, :mod:`repro.core.inorder`).
+The historical ``run_program``/``run_inorder`` split and its
+deprecation shims are gone: ``simulate`` runs either core.
 
 The differential fuzzer's entry points (``run_with_oracle``,
 ``run_campaign``, ``run_seed``, ``run_smt_seed``, ``TaintOracle``,

@@ -473,7 +473,6 @@ class FastOoOCore(OutOfOrderCore):
         (kinds, exec_fns, imms, prf_value, ready_bits, iq_waiters,
          rob_entries, protection, may_broadcast) = self._wb_tables
         issue_width = self._issue_width
-        taint = self.taint
         obs = self.obs
         obs_complete = obs.instr_complete if obs is not None else None
         obs_defer = obs.instr_defer if obs is not None else None
@@ -484,8 +483,8 @@ class FastOoOCore(OutOfOrderCore):
                 continue  # an older entry in this batch squashed it
             pc = entry.pc
             kind = kinds[pc]
-            if taint is not None:
-                taint.exec_ctx = entry
+            if obs is not None:
+                obs.exec_ctx = entry
             if kind == K_ALU:
                 vals = entry.src_vals
                 a = vals[0] if vals else 0
@@ -513,11 +512,10 @@ class FastOoOCore(OutOfOrderCore):
             pd = entry.phys_dest
             if pd is not None and entry.result is not None:
                 prf_value[pd] = entry.result
-            if taint is not None:
-                taint.exec_ctx = None
-                taint.on_complete(entry)
-            if obs_complete is not None:
-                obs_complete(entry, now)
+            if obs is not None:
+                obs.exec_ctx = None
+                if obs_complete is not None:
+                    obs_complete(entry, now)
             # Inline _try_broadcast (base may_broadcast returns True).
             if pd is None:
                 entry.bcast = True
@@ -563,9 +561,9 @@ class FastOoOCore(OutOfOrderCore):
         u = self.u
         pc = entry.pc
         kind = u.kinds[pc]
-        taint = self.taint
-        if taint is not None:
-            taint.exec_ctx = entry
+        obs = self.obs
+        if obs is not None:
+            obs.exec_ctx = entry
 
         if kind == K_ALU:
             vals = entry.src_vals
@@ -594,12 +592,10 @@ class FastOoOCore(OutOfOrderCore):
         entry.complete_cycle = now
         if entry.phys_dest is not None and entry.result is not None:
             self.prf.value[entry.phys_dest] = entry.result
-        if taint is not None:
-            taint.exec_ctx = None
-            taint.on_complete(entry)
-        obs = self.obs
-        if obs is not None and obs.instr_complete is not None:
-            obs.instr_complete(entry, now)
+        if obs is not None:
+            obs.exec_ctx = None
+            if obs.instr_complete is not None:
+                obs.instr_complete(entry, now)
         self._try_broadcast(entry, now)
 
     def _try_broadcast(self, entry: DynInstr, now: int) -> None:
@@ -681,7 +677,8 @@ class FastOoOCore(OutOfOrderCore):
         pending = self._pending_mem
         if not pending or pending[0][0] > now:
             return
-        taint = self.taint
+        obs = self.obs
+        obs_load = obs.load_data if obs is not None else None
         ready: List[DynInstr] = []
         pop = heapq.heappop
         while pending and pending[0][0] <= now:
@@ -716,17 +713,18 @@ class FastOoOCore(OutOfOrderCore):
                 invisible = (
                     load_invisible is not None and load_invisible(entry)
                 )
-                if taint is not None:
-                    taint.exec_ctx = entry
+                if obs is not None:
+                    obs.exec_ctx = entry
                 result = hierarchy.data_access(
                     entry.addr, now, fill=not invisible, pc=entry.pc
                 )
                 if invisible:
                     protection.on_invisible_load(entry, result, now)
                 value = self._fast_load_value(entry)
-                if taint is not None:
-                    taint.exec_ctx = None
-                    taint.on_load_executed(entry, from_memory=True)
+                if obs is not None:
+                    obs.exec_ctx = None
+                    if obs_load is not None:
+                        obs_load(entry, True)
                 entry.result = value
                 push(completions, (now + result.latency, entry.seq, entry))
             elif action is LoadAction.WAIT:
@@ -735,8 +733,8 @@ class FastOoOCore(OutOfOrderCore):
                 entry.data_obtained = True
                 entry.forwarded_from = decision.forwarded_from
                 entry.bypassed_stores = decision.bypassed_stores or None
-                if taint is not None:
-                    taint.on_load_executed(entry, from_memory=False)
+                if obs_load is not None:
+                    obs_load(entry, False)
                 entry.result = decision.value
                 push(completions, (next_cycle, entry.seq, entry))
 
@@ -819,7 +817,6 @@ class FastOoOCore(OutOfOrderCore):
         if not selected:
             return
         # Issue pass.
-        taint = self.taint
         obs = self.obs
         obs_issue = obs.instr_issue if obs is not None else None
         pending_mem = self._pending_mem
@@ -838,8 +835,6 @@ class FastOoOCore(OutOfOrderCore):
             else:
                 vals = tuple(prf_value[s] for s in srcs)
             entry.src_vals = vals
-            if taint is not None:
-                taint.on_issue(entry, now)
             if obs_issue is not None:
                 obs_issue(entry, now)
             pc = entry.pc
@@ -1027,7 +1022,6 @@ class FastOoOCore(OutOfOrderCore):
         width = self._commit_width
         (flags, op_ids, rob_entries, lsq, rat_retire, stats,
          on_commit) = self._commit_tables
-        taint = self.taint
         obs = self.obs
         obs_retire = obs.instr_retire if obs is not None else None
         while committed_now < width and rob_entries:
@@ -1077,8 +1071,6 @@ class FastOoOCore(OutOfOrderCore):
                 hist[key] = hist.get(key, 0) + 1
             if on_commit is not None:
                 on_commit(head, now)
-            if taint is not None:
-                taint.on_commit(head)
             if obs_retire is not None:
                 obs_retire(head, now)
             committed_now += 1

@@ -66,11 +66,8 @@ class LSQ:
         self.forwards = 0
         self.bypasses = 0
         self.violations = 0
-        # Optional callable(load, store) fired on store-to-load
-        # forwarding; used by the fuzzing taint oracle (repro.fuzz).
-        self.taint_hook = None
-        # Optional telemetry EventBus (repro.obs.bus): pure observer,
-        # coexists with the taint hook.
+        # Optional EventBus (repro.obs.bus): pure observer, told of
+        # every store-to-load forwarding.
         self.obs = None
 
     # ------------------------------------------------------------------ #
@@ -136,8 +133,6 @@ class LSQ:
                     return LoadDecision(LoadAction.WAIT)
                 value = _extract(store, load)
                 self.forwards += 1
-                if self.taint_hook is not None:
-                    self.taint_hook(load, store)
                 obs = self.obs
                 if obs is not None and obs.store_forward is not None:
                     obs.store_forward(load, store)

@@ -148,14 +148,12 @@ class OutOfOrderCore:
         self._issued_this_cycle = 0
         self._squashed_this_cycle = False
         self._last_commit_cycle = 0
-        # Optional telemetry EventBus (see repro.obs.bus); carries the
-        # pipeline tracer, metrics samplers, and any other subscriber.
+        # Optional EventBus (see repro.obs.bus); carries the taint
+        # oracle, the pipeline tracer, metrics samplers, and any other
+        # subscriber.  Every emit site is guarded by an is-None test, so
+        # the hot path and the idle-cycle fast-forward are unaffected
+        # when no bus is attached.
         self.obs = None
-        # Optional TaintOracle (see repro.fuzz.taint).  Like the event
-        # bus it is a pure observer: every hook below is guarded by an
-        # is-None test, so the hot path and the idle-cycle fast-forward
-        # are unaffected when no oracle is attached.
-        self.taint = None
 
     # ================================================================== #
     # Public driving interface.
@@ -494,9 +492,9 @@ class OutOfOrderCore:
         instr = entry.instr
         op = instr.op
         info = instr.info
-        taint = self.taint
-        if taint is not None:
-            taint.exec_ctx = entry  # attributes BTB installs to *entry*
+        obs = self.obs
+        if obs is not None:
+            obs.exec_ctx = entry  # attributes BTB installs to *entry*
 
         if info.is_branch:
             self._resolve_branch(entry, now)
@@ -526,12 +524,10 @@ class OutOfOrderCore:
         entry.complete_cycle = now
         if entry.phys_dest is not None and entry.result is not None:
             self.prf.write(entry.phys_dest, entry.result)
-        if taint is not None:
-            taint.exec_ctx = None
-            taint.on_complete(entry)
-        obs = self.obs
-        if obs is not None and obs.instr_complete is not None:
-            obs.instr_complete(entry, now)
+        if obs is not None:
+            obs.exec_ctx = None
+            if obs.instr_complete is not None:
+                obs.instr_complete(entry, now)
         self._try_broadcast(entry, now)
 
     def _try_broadcast(self, entry: DynInstr, now: int) -> None:
@@ -657,20 +653,15 @@ class OutOfOrderCore:
     def _squash_after(self, seq: int, target_pc: int, refetch_cycle: int):
         """Discard every instruction younger than *seq* and refetch."""
         removed = self.rob.squash_younger(seq)
-        taint = self.taint
         for entry in removed:  # youngest first: rollback works in order
             if entry.phys_dest is not None:
                 self.rat.rollback(
                     entry.instr.rd, entry.phys_dest, entry.prev_phys
                 )
             self.protection.on_squash(entry)
-            if taint is not None:
-                taint.on_squash(entry)
         self.iq.remove_squashed()
         self.lsq.remove_squashed()
         self.protection.after_squash()
-        if taint is not None:
-            taint.after_squash(seq)
         self._pending_mem = [
             item for item in self._pending_mem if not item[2].squashed
         ]
@@ -683,10 +674,13 @@ class OutOfOrderCore:
         self.stats.squashed_ops += len(removed)
         self._squashed_this_cycle = True
         obs = self.obs
-        if obs is not None and obs.instr_squash is not None:
+        if obs is not None:
             now = self.cycle
-            for entry in removed:
-                obs.instr_squash(entry, now)
+            if obs.instr_squash is not None:
+                for entry in removed:  # youngest first, as rolled back
+                    obs.instr_squash(entry, now)
+            if obs.squash_end is not None:
+                obs.squash_end(seq, now)
 
     # ================================================================== #
     # Load memory phase.
@@ -699,7 +693,7 @@ class OutOfOrderCore:
         pending = self._pending_mem
         if not pending or pending[0][0] > now:
             return
-        taint = self.taint
+        obs = self.obs
         ready: List[DynInstr] = []
         while pending and pending[0][0] <= now:
             _, _, entry = heapq.heappop(pending)
@@ -728,8 +722,8 @@ class OutOfOrderCore:
                 entry.forwarded_from = decision.forwarded_from
                 entry.bypassed_stores = decision.bypassed_stores or None
                 value = decision.value
-                if taint is not None:
-                    taint.on_load_executed(entry, from_memory=False)
+                if obs is not None and obs.load_data is not None:
+                    obs.load_data(entry, False)
                 self._finish_load(entry, value, now, latency=1)
                 continue
             # MEMORY access: gated by the L1D port count.
@@ -740,17 +734,18 @@ class OutOfOrderCore:
             entry.data_obtained = True
             entry.bypassed_stores = decision.bypassed_stores or None
             invisible = self.protection.load_executes_invisibly(entry)
-            if taint is not None:
-                taint.exec_ctx = entry  # attributes d-cache fills
+            if obs is not None:
+                obs.exec_ctx = entry  # attributes d-cache fills
             result = self.hierarchy.data_access(
                 entry.addr, now, fill=not invisible, pc=entry.pc
             )
             if invisible:
                 self.protection.on_invisible_load(entry, result, now)
             value = self._load_value(entry)
-            if taint is not None:
-                taint.exec_ctx = None
-                taint.on_load_executed(entry, from_memory=True)
+            if obs is not None:
+                obs.exec_ctx = None
+                if obs.load_data is not None:
+                    obs.load_data(entry, True)
             self._finish_load(entry, value, now, latency=result.latency)
 
     def _load_value(self, entry: DynInstr) -> int:
@@ -785,7 +780,6 @@ class OutOfOrderCore:
     def _issue(self, now: int) -> None:
         width = self.config.core.issue_width
         selected = self.iq.select(now, width, self.fus, self._may_issue)
-        taint = self.taint
         obs = self.obs
         for entry in selected:
             entry.issued = True
@@ -796,8 +790,6 @@ class OutOfOrderCore:
             self.stats.issued += 1
             self._issued_this_cycle += 1
             instr = entry.instr
-            if taint is not None:
-                taint.on_issue(entry, now)
             if obs is not None and obs.instr_issue is not None:
                 obs.instr_issue(entry, now)
             if entry.is_load:
@@ -918,8 +910,6 @@ class OutOfOrderCore:
                 head.issue_cycle - head.dispatch_cycle
             )
         self.protection.on_commit(head, now)
-        if self.taint is not None:
-            self.taint.on_commit(head)
         obs = self.obs
         if obs is not None and obs.instr_retire is not None:
             obs.instr_retire(head, now)

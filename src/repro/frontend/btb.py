@@ -39,11 +39,8 @@ class BTB:
         self.lookups = 0
         self.hits = 0
         self.updates = 0
-        # Optional callable target with on_btb_update(pc, target); used
-        # by the fuzzing taint oracle (repro.fuzz).
-        self.observer = None
-        # Optional telemetry EventBus (repro.obs.bus), fed the same
-        # install/refresh events as btb_update.
+        # Optional EventBus (repro.obs.bus), told of every install or
+        # refresh as btb_update.
         self.obs = None
 
     def _index(self, pc: int) -> int:
@@ -70,8 +67,6 @@ class BTB:
         wrong-path included.
         """
         self.updates += 1
-        if self.observer is not None:
-            self.observer.on_btb_update(pc, target)
         obs = self.obs
         if obs is not None and obs.btb_update is not None:
             obs.btb_update(pc, target)

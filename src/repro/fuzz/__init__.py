@@ -11,7 +11,7 @@ regression test.
 
 Layers:
 
-* :mod:`repro.fuzz.taint` — the oracle and its core hooks
+* :mod:`repro.fuzz.taint` — the oracle, an event-bus subscriber
 * :mod:`repro.fuzz.generator` — gadget-aware program templates
 * :mod:`repro.fuzz.campaign` — differential runner on the suite engine
 * :mod:`repro.fuzz.minimize` — ddmin witness reduction

@@ -2,12 +2,13 @@
 
 The oracle answers one question about a single simulation: *did secret
 data influence microarchitectural state that survived a squash?*  It is
-a pure observer — attached through four lightweight hook points
-(``core.taint``, ``hierarchy.observer``, ``btb.observer``,
-``lsq.taint_hook``), all of which are ``None`` by default so the
-simulator's hot path and its idle-cycle fast-forward stay bit-identical
-whether or not an oracle is attached.  The oracle never mutates
-simulator state and draws no randomness.
+an ordinary subscriber of the core's :class:`~repro.obs.bus.EventBus`
+(each pipeline hook below is named after the bus event it receives), so
+it reaches the pipeline through the same ``obs`` slots as the tracer and
+the metrics samplers and can share one bus with them.  Those slots are
+``None`` by default, so the simulator's hot path and its idle-cycle
+fast-forward stay bit-identical whether or not an oracle is attached.
+The oracle never mutates simulator state and draws no randomness.
 
 Taint sources are configured per run: static *secret address ranges*
 (any load overlapping one returns tainted data, forever) and an initial
@@ -21,7 +22,7 @@ Propagation follows the dynamic dataflow of the pipeline itself:
 * register writes — a completing micro-op taints its physical
   destination iff any physical source was tainted at issue;
 * store-to-load forwarding — a load forwarding from a store whose data
-  register was tainted becomes tainted (``lsq.taint_hook``);
+  register was tainted becomes tainted (``store_forward``);
 * address computation — a load whose *address* operand is tainted is
   itself tainted (double-dereference chains), and its cache fill is a
   transmission;
@@ -47,6 +48,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.opcodes import FUType, Opcode
+from repro.obs.bus import ensure_bus
 
 #: Covert-channel classes the oracle can witness, matching the channel
 #: spellings used by :data:`repro.attacks.taxonomy.IMPLEMENTED`.
@@ -145,11 +147,12 @@ class TaintOracle:
         self.max_witnesses = max_witnesses
         self.witnesses: List[LeakWitness] = []
         self.core = None
-        #: Micro-op currently touching the hierarchy/BTB (set by the
-        #: core around ``data_access`` and ``_complete``); fills and BTB
-        #: installs with no context (commit-store write-allocate,
+        #: The bus this oracle is subscribed to; its ``exec_ctx`` names
+        #: the micro-op currently touching the hierarchy/BTB.  Fills and
+        #: BTB installs with no context (commit-store write-allocate,
         #: InvisiSpec expose) are architectural and ignored.
-        self.exec_ctx = None
+        self.bus = None
+        self._owns_bus = False
         self._reg = bytearray()  # physical-register taint bits
         self._recs: Dict[int, _Rec] = {}
         self._steer: Dict[int, int] = {}  # seq -> pc of tainted steers
@@ -161,25 +164,28 @@ class TaintOracle:
     # ------------------------------------------------------------------ #
 
     def attach(self, core) -> "TaintOracle":
-        """Wire the oracle into *core*'s four hook points."""
+        """Subscribe the oracle on *core*'s event bus (attaching a bus
+        first if the core has none)."""
         if self.core is not None:
             raise ValueError("oracle is already attached")
         self.core = core
         self._reg = bytearray(len(core.prf.value))
-        core.taint = self
-        core.hierarchy.observer = self
-        core.btb.observer = self
-        core.lsq.taint_hook = self.on_forward
+        self._owns_bus = core.obs is None
+        self.bus = ensure_bus(core)
+        self.bus.subscribe(self)
         return self
 
     def detach(self) -> None:
-        core = self.core
-        if core is not None:
-            core.taint = None
-            core.hierarchy.observer = None
-            core.btb.observer = None
-            core.lsq.taint_hook = None
+        """Unsubscribe from the bus, and detach the bus if :meth:`attach`
+        created it."""
+        bus = self.bus
+        if bus is not None:
+            bus.unsubscribe(self)
+            if self._owns_bus:
+                bus.detach()
         self.core = None
+        self.bus = None
+        self._owns_bus = False
 
     # ------------------------------------------------------------------ #
     # Queries.
@@ -245,11 +251,11 @@ class TaintOracle:
             self.witnesses.extend(witnesses[:room])
 
     # ------------------------------------------------------------------ #
-    # Pipeline hooks (called by OutOfOrderCore when an oracle is
-    # attached; every call site is a no-op when ``core.taint is None``).
+    # Pipeline hooks: EventBus subscriber methods, one per event the
+    # out-of-order core emits (see EVENT_NAMES in repro.obs.bus).
     # ------------------------------------------------------------------ #
 
-    def on_issue(self, entry, now: int) -> None:
+    def instr_issue(self, entry, now: int) -> None:
         """A micro-op left the issue queue with its operands read."""
         reg = self._reg
         rec = _Rec()
@@ -279,14 +285,14 @@ class TaintOracle:
                 else "FPU woken on a tainted-steered path",
             )
 
-    def on_forward(self, load, store) -> None:
+    def store_forward(self, load, store) -> None:
         """LSQ forwarded *store*'s data to *load* (store-to-load)."""
         rec = self._recs.get(load.seq)
         srec = self._recs.get(store.seq)
         if rec is not None and srec is not None and srec.data:
             rec.fwd = True
 
-    def on_load_executed(self, entry, from_memory: bool) -> None:
+    def load_data(self, entry, from_memory: bool) -> None:
         """A load obtained its value (memory or forwarding path)."""
         rec = self._recs.get(entry.seq)
         if rec is None:
@@ -296,7 +302,7 @@ class TaintOracle:
         elif from_memory and self._secret_data(entry.addr, entry.mem_size):
             rec.val = True
 
-    def on_complete(self, entry) -> None:
+    def instr_complete(self, entry, now: int) -> None:
         """A micro-op finished executing (result already in the PRF)."""
         rec = self._recs.get(entry.seq)
         if rec is None:
@@ -314,7 +320,7 @@ class TaintOracle:
                 # target (or direction): a tainted-steered window opens.
                 self._steer[entry.seq] = entry.pc
 
-    def on_squash(self, entry) -> None:
+    def instr_squash(self, entry, now: int) -> None:
         """*entry* was squashed: its candidates were transient — promote."""
         seq = entry.seq
         pending = self._cands.pop(seq, None)
@@ -325,7 +331,7 @@ class TaintOracle:
         if entry.phys_dest is not None:
             self._reg[entry.phys_dest] = 0
 
-    def after_squash(self, boundary_seq: int) -> None:
+    def squash_end(self, boundary_seq: int, now: int) -> None:
         """All entries younger than *boundary_seq* are gone; i-cache
         fills attributed to a squashed steer were transient."""
         if not self._icands:
@@ -338,7 +344,7 @@ class TaintOracle:
                 keep.append((steer_seq, witness))
         self._icands = keep
 
-    def on_commit(self, entry) -> None:
+    def instr_retire(self, entry, now: int) -> None:
         """*entry* retired: its footprint is architectural, not a leak."""
         seq = entry.seq
         self._cands.pop(seq, None)
@@ -366,9 +372,9 @@ class TaintOracle:
     # Structure observers (hierarchy / BTB).
     # ------------------------------------------------------------------ #
 
-    def on_data_fill(self, addr: int, now: int) -> None:
+    def data_fill(self, addr: int, now: int) -> None:
         """The d-side hierarchy filled a line for the current context."""
-        entry = self.exec_ctx
+        entry = self.bus.exec_ctx
         if entry is None:
             return  # architectural fill (commit store, expose, warmup)
         rec = self._recs.get(entry.seq)
@@ -380,7 +386,7 @@ class TaintOracle:
             else "d-cache fill on a tainted-steered path",
         )
 
-    def on_inst_fill(self, addr: int, now: int) -> None:
+    def inst_fill(self, addr: int, now: int) -> None:
         """The i-cache filled a line; attribute it to the youngest
         in-flight tainted steer, if any."""
         if not self._steer:
@@ -399,9 +405,9 @@ class TaintOracle:
         )
         self._icands.append((steer_seq, witness))
 
-    def on_btb_update(self, pc: int, target: int) -> None:
+    def btb_update(self, pc: int, target: int) -> None:
         """The BTB installed/refreshed ``pc -> target``."""
-        entry = self.exec_ctx
+        entry = self.bus.exec_ctx
         if entry is None:
             return
         rec = self._recs.get(entry.seq)

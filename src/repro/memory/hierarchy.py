@@ -70,14 +70,9 @@ class MemoryHierarchy:
         # Completion cycles of in-flight off-chip misses (MLP + MSHR model).
         self._offchip: List[int] = []
         self.offchip_misses = 0
-        # Optional fill observer with on_data_fill(addr, now) and
-        # on_inst_fill(addr, now); used by the fuzzing taint oracle
-        # (repro.fuzz).  Fired only on demand-miss fills, never on
-        # prefetches or invisible probes.
-        self.observer = None
-        # Optional telemetry EventBus (repro.obs.bus): same demand-fill
-        # events, delivered as data_fill/inst_fill.  Coexists with the
-        # taint observer above.
+        # Optional EventBus (repro.obs.bus), told of demand-miss fills
+        # as data_fill/inst_fill; never of prefetches or invisible
+        # probes.
         self.obs = None
 
     # ------------------------------------------------------------------ #
@@ -158,8 +153,6 @@ class MemoryHierarchy:
         if fill:
             l1_hit = self.l1d.access(addr, fill=True)
             if not l1_hit:
-                if self.observer is not None:
-                    self.observer.on_data_fill(addr, now)
                 obs = self.obs
                 if obs is not None and obs.data_fill is not None:
                     obs.data_fill(addr, now)
@@ -209,8 +202,6 @@ class MemoryHierarchy:
         if self.l1i.access(addr, fill=True):
             return AccessResult(self.config.l1i.round_trip_cycles,
                                 True, False, False)
-        if self.observer is not None:
-            self.observer.on_inst_fill(addr, now)
         obs = self.obs
         if obs is not None and obs.inst_fill is not None:
             obs.inst_fill(addr, now)

@@ -1,8 +1,9 @@
 """The structured event bus.
 
-The bus is the single object the simulator's observer slots point at.
-Every emit site in the pipeline follows the same two-level guard the
-taint oracle established (PR 4):
+The bus is the one channel through which an observer sees the
+pipeline: the pipeline tracer, the metrics samplers and the transient
+taint oracle (:mod:`repro.fuzz.taint`) are all ordinary subscribers.
+Every emit site in the pipeline follows the same two-level guard:
 
     obs = self.obs
     if obs is not None and obs.instr_retire is not None:
@@ -27,7 +28,7 @@ with the bus attached is part of the contract and is pinned by tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 #: Every event the bus can carry, with the payload each site sends.
 #: (This tuple is the machine-readable half of the taxonomy table in
@@ -36,11 +37,13 @@ EVENT_NAMES = (
     # out-of-order core lifecycle -------------------------------------- #
     "instr_dispatch",   # (entry, now)   micro-op entered ROB/IQ/LSQ
     "instr_issue",      # (entry, now)   left the issue queue
+    "load_data",        # (entry, from_memory)  load obtained its value
     "instr_complete",   # (entry, now)   result computed / data returned
     "instr_broadcast",  # (entry, now)   result tag woke dependents
     "instr_defer",      # (entry, now)   broadcast deferred (NDA / ports)
     "instr_retire",     # (entry, now)   architecturally committed
     "instr_squash",     # (entry, now)   discarded on the wrong path
+    "squash_end",       # (seq, now)     squash of everything after seq done
     # in-order core lifecycle ------------------------------------------ #
     "inorder_step",     # (pc, instr, start_cycle, end_cycle)
     # protection schemes ----------------------------------------------- #
@@ -66,7 +69,6 @@ class EventBus:
 
     def __init__(self) -> None:
         self._subscribers: List[object] = []
-        self._handlers: Dict[str, List] = {name: [] for name in EVENT_NAMES}
         for name in EVENT_NAMES:
             setattr(self, name, None)
         self._samplers: List[object] = []
@@ -74,6 +76,12 @@ class EventBus:
         #: sampler is registered, so the per-cycle check in ``step()``
         #: never fires.
         self.sample_due: float = float("inf")
+        #: The micro-op whose execution is touching the hierarchy or the
+        #: BTB right now (set by the cores around a completion and a
+        #: d-cache access), so ``data_fill``/``btb_update`` subscribers
+        #: can attribute the update.  ``None`` for architectural updates
+        #: (commit-store write-allocate, InvisiSpec expose, warmup).
+        self.exec_ctx = None
         self._core = None
 
     # ------------------------------------------------------------------ #
@@ -83,17 +91,29 @@ class EventBus:
     def subscribe(self, subscriber: object):
         """Register *subscriber* for every event method it defines."""
         self._subscribers.append(subscriber)
+        self._bind()
+        return subscriber
+
+    def unsubscribe(self, subscriber: object) -> None:
+        """Stop delivering events to *subscriber*."""
+        self._subscribers.remove(subscriber)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Point each event attribute at its subscribers' methods, in
+        subscription order (``None`` when there are none)."""
         for name in EVENT_NAMES:
-            method = getattr(subscriber, name, None)
-            if method is None or not callable(method):
-                continue
-            handlers = self._handlers[name]
-            handlers.append(method)
-            if len(handlers) == 1:
-                setattr(self, name, method)
+            handlers = []
+            for subscriber in self._subscribers:
+                method = getattr(subscriber, name, None)
+                if method is not None and callable(method):
+                    handlers.append(method)
+            if not handlers:
+                setattr(self, name, None)
+            elif len(handlers) == 1:
+                setattr(self, name, handlers[0])
             else:
                 setattr(self, name, _fan_out(tuple(handlers)))
-        return subscriber
 
     def add_sampler(self, sampler: object, start_cycle: int = 0):
         """Register a periodic sampler (``interval`` attribute, cycles;

@@ -42,6 +42,7 @@ example.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -69,9 +70,12 @@ class NoParams(SchemeParams):
 class ProtectionModel:
     """One protection scheme's behavior at the pipeline's decision points.
 
-    Instances are per-core and per-run: ``core`` is the owning
-    :class:`~repro.core.ooo.OutOfOrderCore` (fully constructed except for
-    ``core.protection`` itself), ``params`` the scheme's parameter block.
+    Instances are per-core and per-run: ``core`` is a weak proxy to the
+    owning :class:`~repro.core.ooo.OutOfOrderCore` (fully constructed
+    except for ``core.protection`` itself), ``params`` the scheme's
+    parameter block.  The proxy keeps the core and its model out of a
+    reference cycle, so a finished core is freed by reference counting
+    alone; the model must not outlive its core.
     """
 
     #: Registry key (kebab-case).  Subclasses must override.
@@ -86,7 +90,7 @@ class ProtectionModel:
         # core package itself imports repro.schemes at load time.
         from repro.nda.broadcast import BroadcastArbiter
 
-        self.core = core
+        self.core = weakref.proxy(core)
         self.params = params
         cc = core.config.core
         self.arbiter = BroadcastArbiter(cc.issue_width, cc.nda_broadcast_delay)

@@ -175,10 +175,10 @@ class SmtMachine:
         #: tests.
         self._interleave = hashlib.sha256()
         # Shared-slot routing (SMT mode only): the shared hierarchy/BTB
-        # have one observer slot each, so per-context observers (taint
-        # oracles, event buses) are swapped in around each context's
-        # phases.  Bound lazily at run() so observers attached after
-        # construction are seen.
+        # have one ``obs`` slot each, so each context's event bus (and
+        # with it that context's taint oracle, tracer or samplers) is
+        # swapped in around the context's phases.  Bound lazily at run()
+        # so buses attached after construction are seen.
         self._route = False
 
     # ------------------------------------------------------------------ #
@@ -189,20 +189,13 @@ class SmtMachine:
         if self.config.sharing != "smt":
             self._route = False
             return
-        self._taints = [getattr(c, "taint", None) for c in self.cores]
-        self._buses = [getattr(c, "obs", None) for c in self.cores]
-        self._route = any(
-            slot is not None for slot in self._taints + self._buses
-        )
+        self._buses = [core.obs for core in self.cores]
+        self._route = any(bus is not None for bus in self._buses)
 
     def _enter(self, index: int) -> None:
-        """Route the shared structures' observer slots to context *index*."""
+        """Route the shared structures' ``obs`` slots to context *index*."""
         core = self.cores[index]
-        hierarchy, btb = core.hierarchy, core.btb
-        hierarchy.observer = self._taints[index]
-        btb.observer = self._taints[index]
-        hierarchy.obs = self._buses[index]
-        btb.obs = self._buses[index]
+        core.hierarchy.obs = core.btb.obs = self._buses[index]
 
     # ------------------------------------------------------------------ #
     # The lockstep run loop.

@@ -9,6 +9,7 @@ difference and are stripped before comparison.
 from __future__ import annotations
 
 from dataclasses import asdict
+from typing import Tuple
 
 import pytest
 
@@ -130,23 +131,27 @@ class TestEngagement:
             pytest.approx(outcome.kilo_cycles_per_sec)
 
 
-def _model_for(config_name: str) -> ProtectionModel:
-    """A protection model attached to a fresh (idle) core."""
+def _model_for(config_name: str) -> Tuple[OutOfOrderCore, ProtectionModel]:
+    """A fresh (idle) core and its protection model.
+
+    The model only holds a weak proxy to its core, so callers keep the
+    returned core alive for as long as they use the model.
+    """
     asm = Assembler()
     asm.halt()
     core = OutOfOrderCore(asm.build(), config_registry()[config_name].config)
-    return core.protection
+    return core, core.protection
 
 
 class TestNextEvent:
     def test_baseline_reactive(self):
-        model = _model_for("ooo")
+        core, model = _model_for("ooo")
         assert model.next_event(5) is None
         model.arbiter.defer(alu(0))
         assert model.next_event(5) == 5
 
     def test_nda_unsafe_entry_never_bounds(self):
-        model = _model_for("strict")
+        core, model = _model_for("strict")
         guard = branch(0)
         victim = alu(1)
         model.on_dispatch(guard)
@@ -156,7 +161,7 @@ class TestNextEvent:
         assert model.next_event(3) is None
 
     def test_nda_safe_unstamped_fires_now(self):
-        model = _model_for("strict")
+        core, model = _model_for("strict")
         guard = branch(0)
         victim = alu(1)
         model.on_dispatch(guard)
@@ -168,7 +173,7 @@ class TestNextEvent:
         assert model.next_event(7) == 7
 
     def test_nda_stamped_entry_bounds_at_due_cycle(self):
-        model = _model_for("strict")
+        core, model = _model_for("strict")
         victim = alu(0)
         model.arbiter.defer(victim)
         victim.safe_cycle = 10
@@ -178,7 +183,7 @@ class TestNextEvent:
         assert model.next_event(20) == 20
 
     def test_invisispec_speculative_pending_waits(self):
-        model = _model_for("invisispec-spectre")
+        core, model = _model_for("invisispec-spectre")
         guard = branch(0)
         pending = load(1)
         model.on_dispatch(guard)
@@ -192,5 +197,5 @@ class TestNextEvent:
 
     def test_fence_and_baseline_share_reactive_default(self):
         for name in ("ooo", "fence-on-branch"):
-            model = _model_for(name)
+            core, model = _model_for(name)
             assert type(model).next_event is ProtectionModel.next_event

@@ -8,15 +8,22 @@ same contract the idle-cycle fast-forward upholds.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.api import simulate
 from repro.attacks.common import PROBE_BASE, SCRATCH_BASE
 from repro.config import config_registry
+from repro.core import make_core
 from repro.core.ooo import OutOfOrderCore
+from repro.debug import PipelineTracer
 from repro.fuzz import TEMPLATES, TaintOracle, generate, run_with_oracle
+from repro.fuzz.campaign import run_smt_seed
+from repro.fuzz.generator import generate_smt
+from repro.fuzz.taint import SHARED_CHANNELS
+from repro.obs import MetricsSampler, ensure_bus
+from repro.smt import SmtMachine
 from repro.isa.assembler import Assembler
 from repro.isa.registers import R5, R6, R10, R11, R12, R20, R21
 
@@ -72,7 +79,7 @@ def _window_program(body) -> "Assembler":
 
 
 class TestPropagation:
-    def test_load_taints_and_address_use_witnesses(self):
+    def test_load_taint_and_address_use_witnesses(self):
         def body(asm):
             asm.add(R21, R11, R10)
             asm.loadb(R5, R21, 0)  # secret
@@ -168,12 +175,27 @@ class TestTransparency:
         core = OutOfOrderCore(fp.program, config_registry()["ooo"].config)
         oracle = TaintOracle()
         oracle.attach(core)
-        assert core.taint is oracle
+        bus = core.obs
+        assert oracle.bus is bus
+        assert bus.instr_issue == oracle.instr_issue
         oracle.detach()
-        assert core.taint is None
-        assert core.hierarchy.observer is None
-        assert core.btb.observer is None
-        assert core.lsq.taint_hook is None
+        assert core.obs is None
+        assert core.hierarchy.obs is None
+        assert core.btb.obs is None
+        assert core.lsq.obs is None
+
+    def test_detach_keeps_a_bus_it_did_not_create(self):
+        fp = generate(0)
+        core = OutOfOrderCore(fp.program, config_registry()["ooo"].config)
+        tracer = PipelineTracer.attach(core)
+        bus = core.obs
+        oracle = TaintOracle().attach(core)
+        assert oracle.bus is bus
+        oracle.detach()
+        assert core.obs is bus
+        assert core.hierarchy.obs is bus
+        core.run()
+        assert tracer.records
 
     @pytest.mark.parametrize(
         "config_name", ["ooo", "strict", "invisispec-spectre",
@@ -213,3 +235,80 @@ class TestTransparency:
         )
         assert outcome.stats.cycles > 0
         assert witnesses
+
+
+def _oracle_for(fp) -> TaintOracle:
+    return TaintOracle(
+        secret_ranges=fp.secret_ranges, tainted_bytes=fp.tainted_bytes,
+    )
+
+
+class TestSharedBus:
+    """The oracle is one bus subscriber among others: sharing the bus
+    with the tracer and a metrics sampler changes what neither sees."""
+
+    @pytest.mark.parametrize("config_name", ["ooo", "strict"])
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_oracle_and_telemetry_share_one_bus(self, template, config_name):
+        config = config_registry()[config_name].config
+        for seed in range(4):
+            fp = generate(seed, template=template)
+            _, alone = run_with_oracle(
+                fp.program, config,
+                secret_ranges=fp.secret_ranges,
+                tainted_bytes=fp.tainted_bytes,
+            )
+            core = make_core(fp.program, config)
+            tracer_alone = PipelineTracer.attach(core, limit=100_000)
+            core.run(max_cycles=400_000)
+
+            core = make_core(fp.program, config)
+            oracle = _oracle_for(fp)
+            if seed % 2:  # either subscriber may create the bus
+                oracle.attach(core)
+            tracer = PipelineTracer.attach(core, limit=100_000)
+            sampler = ensure_bus(core).add_sampler(
+                MetricsSampler(interval=50)
+            )
+            if not seed % 2:
+                oracle.attach(core)
+            core.run(max_cycles=400_000)
+            oracle.detach()
+            assert oracle.witnesses == alone, "seed %d" % seed
+            assert tracer.records == tracer_alone.records, "seed %d" % seed
+            assert len(sampler) > 0
+
+    def test_smt_pair_with_a_bus_on_both_contexts(self):
+        """A run_smt_seed pair (shared BTB and hierarchy, so the machine
+        routes the buses per context) with telemetry on both contexts
+        finds the same witnesses, and each tracer sees its own context."""
+        seed, config_name = 2, "ooo"
+        expected = run_smt_seed(seed, config_name)
+        pair = generate_smt(seed)
+        assert pair.sharing == "smt" and expected.witnesses
+        config = replace(
+            config_registry()[config_name].config,
+            num_contexts=2, sharing=pair.sharing,
+        ).validate()
+        programs = [pair.attacker, pair.victim.program]
+
+        machine = SmtMachine(programs, config)
+        alone = [PipelineTracer.attach(core, limit=100_000)
+                 for core in machine.cores]
+        machine.run(max_cycles=400_000)
+
+        machine = SmtMachine(programs, config)
+        tracers = [PipelineTracer.attach(core, limit=100_000)
+                   for core in machine.cores]
+        ensure_bus(machine.cores[0]).add_sampler(MetricsSampler(interval=50))
+        oracle = TaintOracle(
+            secret_ranges=pair.victim.secret_ranges,
+            tainted_bytes=pair.victim.tainted_bytes,
+            ctx=1,
+            shared_channels=SHARED_CHANNELS[pair.sharing],
+        ).attach(machine.cores[1])
+        machine.run(max_cycles=400_000)
+        oracle.detach()
+        assert tuple(oracle.witnesses) == expected.witnesses
+        for tracer, tracer_alone in zip(tracers, alone):
+            assert tracer.records == tracer_alone.records

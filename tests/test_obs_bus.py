@@ -4,13 +4,18 @@ The load-bearing guarantee of :mod:`repro.obs` is that observation is
 free when unused and invisible when used: a run with no bus, a run with
 an attached-but-idle bus, a run with subscribers/samplers, and a run
 whose bus was detached again must all produce bit-identical
-architectural state and counters (wall-clock fields excepted).
+architectural state and counters (wall-clock fields excepted).  The
+bit-identity and delivery tests run on both out-of-order cores: the
+production :class:`FastOoOCore` and the reference
+:class:`OutOfOrderCore`, whose full event streams must also agree.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.config import config_registry
+from repro.core.fastcore import FastOoOCore
 from repro.core.inorder import InOrderCore
 from repro.core.ooo import OutOfOrderCore
 from repro.debug import PipelineTracer
@@ -32,9 +37,10 @@ def _fingerprint(outcome):
             outcome.state.committed, stats)
 
 
-def _run(config, in_order, *, attach=None, detach_before_run=False):
+def _run(config, in_order, core_cls, *, attach=None,
+         detach_before_run=False):
     program = spec_program("mcf", instructions=700, seed=11)
-    core = (InOrderCore if in_order else OutOfOrderCore)(program, config)
+    core = (InOrderCore if in_order else core_cls)(program, config)
     if attach is not None:
         bus = attach(core)
         if detach_before_run:
@@ -46,14 +52,17 @@ class TestBitIdentity:
     """Every registered scheme must simulate identically with and
     without the telemetry layer."""
 
+    #: The out-of-order core under test (in-order configs ignore it).
+    CORE = OutOfOrderCore
+
     @pytest.mark.parametrize(
         "name,config,in_order", ALL_CONFIG_SPECS,
         ids=config_ids(ALL_CONFIG_SPECS),
     )
     def test_attached_idle_bus_is_bit_identical(self, name, config,
                                                 in_order):
-        baseline = _run(config, in_order)
-        observed = _run(config, in_order,
+        baseline = _run(config, in_order, self.CORE)
+        observed = _run(config, in_order, self.CORE,
                         attach=lambda core: EventBus().attach(core))
         assert _fingerprint(observed) == _fingerprint(baseline)
 
@@ -69,8 +78,8 @@ class TestBitIdentity:
             bus.add_sampler(MetricsSampler(interval=100))
             return bus
 
-        baseline = _run(config, in_order)
-        observed = _run(config, in_order, attach=attach)
+        baseline = _run(config, in_order, self.CORE)
+        observed = _run(config, in_order, self.CORE, attach=attach)
         assert _fingerprint(observed) == _fingerprint(baseline)
 
     @pytest.mark.parametrize(
@@ -78,9 +87,9 @@ class TestBitIdentity:
         ids=config_ids(ALL_CONFIG_SPECS[:2]),
     )
     def test_detached_bus_is_bit_identical(self, name, config, in_order):
-        baseline = _run(config, in_order)
+        baseline = _run(config, in_order, self.CORE)
         observed = _run(
-            config, in_order,
+            config, in_order, self.CORE,
             attach=lambda core: EventBus().attach(core),
             detach_before_run=True,
         )
@@ -96,8 +105,7 @@ class TestBitIdentity:
         program = spec_program("mcf", instructions=700, seed=11)
         outcomes = []
         for fast_forward in (True, False):
-            core = OutOfOrderCore(program, config,
-                                  fast_forward=fast_forward)
+            core = self.CORE(program, config, fast_forward=fast_forward)
             bus = EventBus().attach(core)
             sampler = bus.add_sampler(MetricsSampler(interval=100))
             outcomes.append((core.run(), sampler))
@@ -105,6 +113,10 @@ class TestBitIdentity:
         assert _fingerprint(fast) == _fingerprint(slow)
         # FF collapses quiescent spans, so it can only drop samples.
         assert 0 < len(fast_sampler) <= len(slow_sampler)
+
+
+class TestBitIdentityFastCore(TestBitIdentity):
+    CORE = FastOoOCore
 
 
 class TestBusMechanics:
@@ -203,23 +215,38 @@ class TestBusMechanics:
         assert len(sampler) == 5
 
 
+def _event_stream(core_cls, config, program):
+    """Run *program* and return every event the core emitted, in order,
+    as ``(name, cycle, *payload)`` with micro-ops reduced to their seq."""
+    events = []
+
+    class Recorder:
+        pass
+
+    recorder = Recorder()
+    for name in EVENT_NAMES:
+        def record(*args, _name=name):
+            events.append((_name, core.cycle) + tuple(
+                getattr(arg, "seq", arg) for arg in args
+            ))
+        setattr(recorder, name, record)
+    core = core_cls(program, config)
+    ensure_bus(core).subscribe(recorder)
+    outcome = core.run()
+    return events, outcome
+
+
 class TestEventDelivery:
     """The emit sites actually fire, with counts matching the stats."""
 
+    #: The out-of-order core under test.
+    CORE = OutOfOrderCore
+
     def _count_events(self, config, program):
+        events, outcome = _event_stream(self.CORE, config, program)
         counts = {name: 0 for name in EVENT_NAMES}
-
-        class Recorder:
-            pass
-
-        recorder = Recorder()
-        for name in EVENT_NAMES:
-            def bump(*args, _name=name):
-                counts[_name] += 1
-            setattr(recorder, name, bump)
-        core = OutOfOrderCore(program, config)
-        ensure_bus(core).subscribe(recorder)
-        outcome = core.run()
+        for event in events:
+            counts[event[0]] += 1
         return counts, outcome
 
     def test_lifecycle_counts_match_stats(self, ooo_config):
@@ -266,6 +293,74 @@ class TestEventDelivery:
         assert counts["btb_update"] > 0
         assert counts["store_forward"] >= 0
 
+    @pytest.mark.parametrize("config_name", ["ooo", "strict"])
+    def test_squash_end_closes_each_squash(self, config_name):
+        config = config_registry()[config_name].config
+        program = spec_program("leela", instructions=1_500, seed=4)
+        events, outcome = _event_stream(self.CORE, config, program)
+        ends = [i for i, event in enumerate(events)
+                if event[0] == "squash_end"]
+        assert len(ends) == outcome.stats.squashes > 0
+        squashed = 0
+        for i, event in enumerate(events):
+            if event[0] != "instr_squash":
+                continue
+            squashed += 1
+            # A squash's instr_squash events run back to back, and the
+            # squash_end right after them names an older boundary.
+            following = events[i + 1]
+            assert following[0] in ("instr_squash", "squash_end")
+            if following[0] == "squash_end":
+                assert following[2] < event[2]
+        assert squashed == outcome.stats.squashed_ops
+
+    def test_load_data_fires_for_every_committed_load(self, ooo_config):
+        class Loads:
+            def __init__(self):
+                self.obtained = set()
+                self.committed = []
+
+            def load_data(self, entry, from_memory):
+                self.obtained.add(entry.seq)
+
+            def instr_retire(self, entry, now):
+                if entry.is_load:
+                    self.committed.append(entry.seq)
+
+        program = spec_program("mcf", instructions=700, seed=5)
+        core = self.CORE(program, ooo_config)
+        loads = ensure_bus(core).subscribe(Loads())
+        core.run()
+        assert loads.committed
+        assert set(loads.committed) <= loads.obtained
+
+    def test_exec_ctx_is_clear_at_retire(self, ooo_config):
+        class Probe:
+            def __init__(self, bus):
+                self.bus = bus
+                self.retired = 0
+                self.attributed_retires = 0
+                self.attributed_fills = 0
+
+            def instr_retire(self, entry, now):
+                self.retired += 1
+                if self.bus.exec_ctx is not None:
+                    self.attributed_retires += 1
+
+            def data_fill(self, addr, now):
+                if self.bus.exec_ctx is not None:
+                    self.attributed_fills += 1
+
+        program = spec_program("mcf", instructions=700, seed=5)
+        core = self.CORE(program, ooo_config)
+        bus = ensure_bus(core)
+        probe = bus.subscribe(Probe(bus))
+        core.run()
+        assert probe.retired > 0
+        assert probe.attributed_retires == 0
+        # ...while a d-cache demand fill is attributed to its load.
+        assert probe.attributed_fills > 0
+
     def test_inorder_step_events(self):
         program = spec_program("mcf", instructions=300, seed=5)
         steps = []
@@ -279,6 +374,25 @@ class TestEventDelivery:
         outcome = core.run()
         assert len(steps) == outcome.stats.committed
         assert all(start < end for _, start, end in steps)
+
+
+class TestEventDeliveryFastCore(TestEventDelivery):
+    CORE = FastOoOCore
+
+
+@pytest.mark.parametrize(
+    "config_name", ["ooo", "strict", "invisispec-spectre", "fence-on-branch"]
+)
+@pytest.mark.parametrize("workload", ["mcf", "leela"])
+def test_both_cores_emit_the_same_event_stream(workload, config_name):
+    """Name, cycle and payload of every event, in order, agree between
+    the fast and the reference core."""
+    config = config_registry()[config_name].config
+    program = spec_program(workload, instructions=1_500, seed=7)
+    fast, fast_outcome = _event_stream(FastOoOCore, config, program)
+    reference, _ = _event_stream(OutOfOrderCore, config, program)
+    assert len(fast) > fast_outcome.stats.committed
+    assert fast == reference
 
 
 class TestInOrderTracer:

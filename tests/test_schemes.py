@@ -36,6 +36,8 @@ from repro.schemes import (
 )
 from repro.schemes.registry import make_protection, scheme_info
 
+from .conftest import ALL_CONFIG_SPECS, config_ids
+
 
 # --------------------------------------------------------------------- #
 # Registry API.
@@ -287,3 +289,35 @@ def test_protection_model_is_in_public_api():
                  "registered_schemes", "scheme_config"):
         assert name in repro.__all__
         assert hasattr(repro, name)
+
+
+# --------------------------------------------------------------------- #
+# Lifetime: a finished core is freed by reference counting alone.
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize(
+    "name,config,in_order", ALL_CONFIG_SPECS,
+    ids=config_ids(ALL_CONFIG_SPECS),
+)
+def test_finished_core_freed_without_cycle_collector(name, config, in_order):
+    """The protection model's back-reference is weak, so the core and its
+    model form no cycle: with the cycle collector off, dropping the last
+    reference to a finished core frees it at once."""
+    import gc
+    import weakref
+
+    from repro.core import make_core
+    from repro.workloads.generator import spec_program
+
+    program = spec_program("mcf", instructions=300, seed=2)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        core = make_core(program, config)
+        core.run()
+        ref = weakref.ref(core)
+        del core
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
