@@ -14,10 +14,15 @@ attack-smoke:
 	$(PYTHON) -m repro.cli matrix --guesses 16 \
 		--configs ooo strict fence-on-branch
 
-# Tiny end-to-end sweep through the parallel engine (mirrors CI).
+# Tiny end-to-end sweep through the parallel engine; two samples, so each
+# pool worker switches programs mid-sweep.  The warm-cache rerun must
+# execute zero jobs (mirrors CI).
+BENCH_SMOKE := $(PYTHON) -m repro.cli bench --benchmarks exchange2 leela \
+	--samples 2 --warmup 500 --measure 2000 --jobs 2
+
 bench-smoke:
-	$(PYTHON) -m repro.cli bench --benchmarks exchange2 leela \
-		--samples 1 --warmup 500 --measure 2000 --jobs 2
+	$(BENCH_SMOKE)
+	$(BENCH_SMOKE) | tee /dev/stderr | grep -q ", 0 executed"
 
 # Time-boxed differential fuzzing: 40 fixed seeds (all five gadget
 # templates, all four covert channels) across every out-of-order scheme;

@@ -6,15 +6,22 @@ picklable description of a single SMARTS measurement window.  Jobs carry
 no shared state and derive their RNG seed purely from their coordinates,
 so they can execute in any order, on any worker process, and still
 reproduce the serial sweep bit for bit.
+
+Every config of a sweep measures the same program per ``(benchmark,
+sample)``, so :func:`expand_jobs` lists those configs back to back and
+each process keeps the last program it generated (one slot, see
+:func:`sweep_program`): a worker builds a program once and runs all the
+configs it draws for it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import ConfigSpec, SimConfig
+from repro.isa.program import Program
 from repro.stats.counters import PipelineStats
 from repro.stats.sampling import run_window
 from repro.workloads.generator import spec_program
@@ -36,6 +43,32 @@ def derive_seed(
     """
     del benchmark, label  # part of the identity, not of the seed
     return seed0 + sample_index
+
+
+#: This process's one held sweep program, as ``(inputs, program)``.  One
+#: tuple, swapped whole, so threads sharing the slot never pair the
+#: inputs of one program with another.
+_held: Optional[Tuple[Tuple[str, int, int], Program]] = None
+
+
+def sweep_program(benchmark: str, instructions: int, seed: int) -> Program:
+    """``spec_program(benchmark, instructions, seed)``, reusing the
+    program this process generated last when the inputs match.
+
+    A sweep program is about 4 MB, so the slot is emptied *before* the
+    next one is generated: a worker never holds two.  Runs do not
+    mutate their :class:`Program`, and lowering follows it through
+    :func:`repro.isa.microops.lower_program`'s weak cache.
+    """
+    global _held
+    key = (benchmark, instructions, seed)
+    held = _held
+    if held is not None and held[0] == key:
+        return held[1]
+    _held = held = None  # drop both references to the old program
+    program = spec_program(benchmark, instructions, seed)
+    _held = (key, program)
+    return program
 
 
 @dataclass(frozen=True)
@@ -64,7 +97,7 @@ class SimJob:
 
     def execute(self) -> PipelineStats:
         """Run this job's measurement window (in the current process)."""
-        program = spec_program(self.benchmark, self.instructions, self.seed)
+        program = sweep_program(self.benchmark, self.instructions, self.seed)
         return run_window(
             program, self.config, self.warmup, self.measure,
             in_order=self.in_order,
@@ -80,12 +113,18 @@ def expand_jobs(
     instructions: int,
     seed0: int = 0,
 ) -> List[SimJob]:
-    """Expand a sweep into its independent jobs, in serial-sweep order."""
+    """Expand a sweep into its independent jobs, grouped by program.
+
+    The order is benchmark, then sample, then config: all configs of one
+    ``(benchmark, sample)`` program sit next to each other, so a worker
+    drawing jobs off the queue reuses the program it holds.  Results are
+    reassembled by coordinates, so nothing else depends on this order.
+    """
+    specs = [ConfigSpec.coerce(spec) for spec in specs]
     jobs: List[SimJob] = []
     for benchmark in benchmarks:
-        for spec in specs:
-            spec = ConfigSpec.coerce(spec)
-            for index in range(samples):
+        for index in range(samples):
+            for spec in specs:
                 jobs.append(SimJob(
                     benchmark=benchmark,
                     label=spec.label,

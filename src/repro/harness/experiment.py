@@ -238,7 +238,8 @@ def run_suite(
             )
         )
 
-    # Reassemble windows into SampledRuns, exactly as the serial loop did.
+    # Reassemble windows into SampledRuns by coordinates; run_jobs keeps
+    # job order, so each cell lists its samples in sample order.
     windows: Dict[Tuple[str, str], List[Sample]] = {}
     for job_result in job_results:
         job = job_result.job

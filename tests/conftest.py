@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimConfig, baseline_ooo, config_registry
+from repro.core.fastcore import FastOoOCore
+from repro.core.ooo import OutOfOrderCore
 
 # (label, config, run_on_inorder_core) for every evaluated mechanism.
 # Derived from the scheme registry so that a newly registered scheme is
@@ -15,6 +17,10 @@ ALL_CONFIG_SPECS = [
 ]
 
 OOO_CONFIG_SPECS = [spec for spec in ALL_CONFIG_SPECS if not spec[2]]
+
+# Both out-of-order cores: the reference pipeline and the production
+# core (make_core builds FastOoOCore).  The ISA oracles check each.
+OOO_CORES = (OutOfOrderCore, FastOoOCore)
 
 
 @pytest.fixture

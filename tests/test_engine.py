@@ -1,7 +1,11 @@
 """Tests for the parallel suite engine, result cache, and simulate()."""
 
+import hashlib
 import json
 import pickle
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -13,6 +17,7 @@ from repro.config import (
     config_registry,
     nda_config,
 )
+from repro.engine import jobs as engine_jobs
 from repro.engine import (
     ResultCache,
     SimJob,
@@ -25,7 +30,11 @@ from repro.engine import (
 )
 from repro.errors import SimulationError
 from repro.harness.experiment import figure7_config_specs, run_suite
+from repro.isa.instruction import Instr
+from repro.isa.opcodes import Opcode
+from repro.isa.program import Program
 from repro.stats.counters import PipelineStats
+from repro.stats.sampling import run_window
 from repro.workloads.generator import spec_program
 
 TINY = dict(samples=2, warmup=300, measure=800, instructions=2_500)
@@ -61,13 +70,135 @@ class TestSeedDerivation:
         first, second = tiny_jobs(), tiny_jobs()
         assert first == second
         assert [j.coordinates for j in first[:4]] == [
-            ("exchange2", "OoO", 0), ("exchange2", "OoO", 1),
-            ("exchange2", "Strict", 0), ("exchange2", "Strict", 1),
+            ("exchange2", "OoO", 0), ("exchange2", "Strict", 0),
+            ("exchange2", "In-Order", 0), ("exchange2", "OoO", 1),
         ]
 
     def test_jobs_are_picklable(self):
         job = tiny_jobs()[0]
         assert pickle.loads(pickle.dumps(job)) == job
+
+
+def program_digest(program):
+    """sha256 over everything a run could mutate in a Program."""
+    state = (
+        [tuple(repr(getattr(instr, slot)) for slot in Instr.__slots__)
+         for instr in program.instrs],
+        sorted(program.data.items()),
+        sorted(program.initial_regs.items()),
+        sorted(program.msrs.items()),
+        program.privileged,
+        program.fault_handler,
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+class TestProgramReuse:
+    """Each process holds one sweep program and runs every config on it."""
+
+    SMALL = dict(samples=2, warmup=200, measure=500, instructions=1_500)
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(engine_jobs, "_held", None)
+
+    def test_configs_of_one_program_are_consecutive(self):
+        jobs = expand_jobs(
+            ["mcf", "leela"], figure7_config_specs(), 3, 300, 800, 2_500,
+        )
+        programs = [(j.benchmark, j.sample_index) for j in jobs]
+        runs = [p for i, p in enumerate(programs)
+                if i == 0 or programs[i - 1] != p]
+        assert runs == [(b, i) for b in ("mcf", "leela") for i in range(3)]
+        labels = [spec.label for spec in figure7_config_specs()]
+        assert [j.label for j in jobs] == labels * 6
+
+    def test_same_inputs_reuse_the_held_program(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return spec_program(*args)
+
+        monkeypatch.setattr(engine_jobs, "spec_program", counting)
+        for job in tiny_jobs():
+            job.execute()
+        assert calls == [("exchange2", 2_500, 0), ("exchange2", 2_500, 1)]
+
+    def test_held_program_is_released_before_the_next_is_built(
+        self, monkeypatch,
+    ):
+        old = weakref.ref(engine_jobs.sweep_program("exchange2", 600, 0))
+        assert old() is not None  # held by the slot
+        seen = []
+
+        def checking(*args):
+            seen.append(old() is None)
+            return spec_program(*args)
+
+        monkeypatch.setattr(engine_jobs, "spec_program", checking)
+        engine_jobs.sweep_program("exchange2", 600, 1)
+        assert seen == [True]
+
+    def test_threads_sharing_the_slot_get_their_own_program(
+        self, monkeypatch,
+    ):
+        # The job server runs sweeps on threads of one process: a slot
+        # update lost between threads must never hand one thread's
+        # inputs another thread's program.
+        def tagged(benchmark, instructions, seed):
+            return Program([Instr(Opcode.HALT)],
+                           name="%s/%d/%d" % (benchmark, instructions, seed))
+
+        monkeypatch.setattr(engine_jobs, "spec_program", tagged)
+        wrong = []
+
+        def hammer(seed):
+            for _ in range(1_000):
+                program = engine_jobs.sweep_program("mcf", 100, seed)
+                if program.name != "mcf/100/%d" % seed:
+                    wrong.append((seed, program.name))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_runs_leave_the_shared_program_unchanged(self):
+        for bench in ("mcf", "leela"):
+            program = spec_program(bench, 2_500, seed=0)
+            before = program_digest(program)
+            for spec in config_registry().values():
+                run_window(program, spec.config, 300, 800,
+                           in_order=spec.in_order)
+                assert program_digest(program) == before, (bench, spec.name)
+
+    def test_grouped_sweep_equals_fresh_program_per_job(self):
+        suite = run_suite(
+            benchmarks=["mcf", "leela"], jobs=1, cache=False, **self.SMALL
+        )
+        assert suite.engine.executed == 44
+        for (bench, label), run in suite.runs.items():
+            spec = next(s for s in figure7_config_specs() if s.label == label)
+            for index, sample in enumerate(run.samples):
+                assert sample.seed == index
+                fresh = run_window(
+                    spec_program(bench, self.SMALL["instructions"], index),
+                    spec.config, self.SMALL["warmup"], self.SMALL["measure"],
+                    in_order=spec.in_order,
+                )
+                assert sample.window.to_dict() == fresh.to_dict(), (
+                    bench, label, index,
+                )
 
 
 class TestParallelEqualsSerial:

@@ -1,19 +1,19 @@
 """Golden-model equivalence: every core commits the reference state.
 
-DESIGN.md's first correctness anchor: for any program, the OoO core under
-every protection scheme, and the in-order core, must produce exactly the
-architectural state the reference evaluator computes.
+DESIGN.md's first correctness anchor: for any program, both OoO cores (the
+reference pipeline and the production fast core) under every protection
+scheme, and the in-order core, must produce exactly the architectural
+state the reference evaluator computes.
 """
 
 import pytest
 
 from repro.core.inorder import InOrderCore
-from repro.core.ooo import OutOfOrderCore
 from repro.isa.semantics import run_reference
 from repro.workloads.generator import spec_program
 from repro.workloads.kernels import ALL_KERNELS
 
-from .conftest import ALL_CONFIG_SPECS, config_ids
+from .conftest import ALL_CONFIG_SPECS, OOO_CORES, config_ids
 
 KERNEL_CASES = [
     ("pointer_chase", lambda: ALL_KERNELS["pointer_chase"](400, 512)),
@@ -28,19 +28,17 @@ KERNEL_CASES = [
 
 def _assert_equivalent(program, config, in_order):
     reference = run_reference(program, max_steps=5_000_000)
-    if in_order:
-        outcome = InOrderCore(program, config).run()
-    else:
-        outcome = OutOfOrderCore(program, config).run()
-    state = outcome.state
-    assert state.halted == reference.halted
-    assert state.regs == reference.regs, (
-        "register mismatch: %s"
-        % {i: (a, b) for i, (a, b) in
-           enumerate(zip(state.regs, reference.regs)) if a != b}
-    )
-    assert state.memory.equal_contents(reference.memory)
-    assert state.committed == reference.committed
+    for core_cls in (InOrderCore,) if in_order else OOO_CORES:
+        state = core_cls(program, config).run().state
+        core = core_cls.__name__
+        assert state.halted == reference.halted, core
+        assert state.regs == reference.regs, (
+            "%s register mismatch: %s"
+            % (core, {i: (a, b) for i, (a, b) in
+                      enumerate(zip(state.regs, reference.regs)) if a != b})
+        )
+        assert state.memory.equal_contents(reference.memory), core
+        assert state.committed == reference.committed, core
 
 
 @pytest.mark.parametrize("kernel_name,make", KERNEL_CASES,

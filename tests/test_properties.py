@@ -2,8 +2,9 @@
 
 The headline property is golden-model equivalence over *random programs*:
 any generated program must commit identical architectural state on the
-reference evaluator, the insecure OoO core, every NDA policy, both
-InvisiSpec variants, and the in-order core.
+reference evaluator, both OoO cores (reference and fast) under the
+insecure baseline, every NDA policy and both InvisiSpec variants, and the
+in-order core.
 """
 
 import pytest
@@ -17,12 +18,13 @@ from repro.config import (
     nda_config,
 )
 from repro.core.inorder import InOrderCore
-from repro.core.ooo import OutOfOrderCore
 from repro.isa.assembler import Assembler
 from repro.isa.opcodes import ALU_IMM_OPS, ALU_OPS, Opcode
 from repro.isa.semantics import branch_taken, eval_alu, run_reference
 from repro.memory.memory import MainMemory, U64_MASK
 from repro.frontend.ras import RAS
+
+from .conftest import OOO_CORES
 
 DATA_BASE = 0x1000
 DATA_MASK = 0x7F8  # keeps addresses in [DATA_BASE, DATA_BASE + 0x800)
@@ -250,9 +252,9 @@ def test_random_program_golden_equivalence(program):
     reference = run_reference(program, max_steps=500_000)
     assert reference.halted
     for label, config, in_order in EQUIVALENCE_CONFIGS:
-        core = InOrderCore(program, config) if in_order \
-            else OutOfOrderCore(program, config)
-        outcome = core.run(max_cycles=2_000_000)
-        assert outcome.state.regs == reference.regs, label
-        assert outcome.state.memory.equal_contents(reference.memory), label
-        assert outcome.state.committed == reference.committed, label
+        for core_cls in (InOrderCore,) if in_order else OOO_CORES:
+            state = core_cls(program, config).run(max_cycles=2_000_000).state
+            where = "%s on %s" % (label, core_cls.__name__)
+            assert state.regs == reference.regs, where
+            assert state.memory.equal_contents(reference.memory), where
+            assert state.committed == reference.committed, where

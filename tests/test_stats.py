@@ -10,9 +10,6 @@ from repro.stats.sampling import (
     Sample,
     SampledRun,
     run_window,
-    smarts_sample,
-    snapshot,
-    stats_delta,
     t95,
 )
 from repro.workloads.generator import spec_program
@@ -72,11 +69,11 @@ class TestSampling:
     def test_snapshot_and_delta(self):
         stats = PipelineStats(cycles=100, committed=40)
         stats.cycle_class[CycleClass.COMMIT] = 30
-        snap = snapshot(stats)
+        snap = stats.snapshot()
         stats.cycles = 150
         stats.committed = 70
         stats.cycle_class[CycleClass.COMMIT] = 45
-        delta = stats_delta(stats, snap)
+        delta = stats.delta(snap)
         assert delta.cycles == 50
         assert delta.committed == 30
         assert delta.cycle_class[CycleClass.COMMIT] == 15
@@ -97,13 +94,15 @@ class TestSampling:
         with pytest.raises(SimulationError, match="warm-up"):
             run_window(program, baseline_ooo(), warmup=500_000, measure=10)
 
-    def test_smarts_sample_aggregation(self):
-        run = smarts_sample(
-            lambda seed: spec_program("exchange2", 3_000, seed),
-            baseline_ooo(),
-            label="OoO", benchmark="exchange2",
-            samples=3, warmup=500, measure=1_000,
-        )
+    def test_sampled_run_aggregation(self):
+        # One SMARTS window per seeded checkpoint, as run_suite builds it.
+        run = SampledRun(label="OoO", benchmark="exchange2", samples=[
+            Sample(seed, run_window(
+                spec_program("exchange2", 3_000, seed), baseline_ooo(),
+                warmup=500, measure=1_000,
+            ))
+            for seed in range(3)
+        ])
         assert len(run.samples) == 3
         assert run.mean_cpi > 0
         assert run.ci95 >= 0

@@ -2,7 +2,7 @@
 
 Every structural stall path (tiny ROB/IQ/LSQ, exhausted rename registers,
 single-wide machines) and every front-end/cache policy variant must still
-commit exactly the reference architectural state.
+commit exactly the reference architectural state, on both OoO cores.
 """
 
 from dataclasses import replace
@@ -10,7 +10,6 @@ from dataclasses import replace
 import pytest
 
 from repro.config import CoreConfig, MemConfig, SimConfig, baseline_ooo
-from repro.core.ooo import OutOfOrderCore
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.isa.semantics import run_reference
 from repro.workloads.generator import spec_program
@@ -21,6 +20,8 @@ from repro.workloads.kernels import (
     streaming,
 )
 
+from .conftest import OOO_CORES
+
 PROGRAMS = {
     "mispredict_heavy": lambda: mispredict_heavy(300),
     "aliasing": lambda: store_load_aliasing(200),
@@ -29,12 +30,16 @@ PROGRAMS = {
 }
 
 
-def assert_golden(program, config, max_cycles=3_000_000):
+def assert_golden(program, config, max_cycles=3_000_000, **core_kwargs):
     reference = run_reference(program, max_steps=3_000_000)
-    outcome = OutOfOrderCore(program, config).run(max_cycles=max_cycles)
-    assert outcome.state.regs == reference.regs
-    assert outcome.state.memory.equal_contents(reference.memory)
-    assert outcome.state.committed == reference.committed
+    for core_cls in OOO_CORES:
+        state = core_cls(program, config, **core_kwargs).run(
+            max_cycles=max_cycles
+        ).state
+        core = core_cls.__name__
+        assert state.regs == reference.regs, core
+        assert state.memory.equal_contents(reference.memory), core
+        assert state.committed == reference.committed, core
 
 
 def constrained(**core_kwargs) -> SimConfig:
@@ -74,35 +79,25 @@ class TestResourcePressure:
 @pytest.mark.parametrize("predictor", ["bimodal", "gshare", "tournament",
                                        "taken", "not-taken"])
 def test_direction_predictor_variants(predictor):
-    program = mispredict_heavy(300)
-    reference = run_reference(program, max_steps=2_000_000)
-    outcome = OutOfOrderCore(
-        program, baseline_ooo(), direction_predictor=predictor
-    ).run()
-    assert outcome.state.regs == reference.regs
+    assert_golden(mispredict_heavy(300), baseline_ooo(),
+                  direction_predictor=predictor)
 
 
 @pytest.mark.parametrize("policy", ["lru", "plru", "random"])
 def test_replacement_policy_variants(policy):
-    program = spec_program("leela", 1_500, seed=4)
-    reference = run_reference(program, max_steps=2_000_000)
     config = replace(
         baseline_ooo(), mem=MemConfig(replacement=policy)
     ).validate()
-    outcome = OutOfOrderCore(program, config).run()
-    assert outcome.state.regs == reference.regs
+    assert_golden(spec_program("leela", 1_500, seed=4), config)
 
 
 @pytest.mark.parametrize("nda_delay", [0, 1, 3])
 def test_broadcast_delay_preserves_correctness(nda_delay):
     from repro.config import NDAPolicyName, nda_config, with_nda_delay
-    program = store_load_aliasing(200)
-    reference = run_reference(program, max_steps=2_000_000)
     config = with_nda_delay(
         nda_config(NDAPolicyName.FULL_PROTECTION), nda_delay
     )
-    outcome = OutOfOrderCore(program, config).run()
-    assert outcome.state.regs == reference.regs
+    assert_golden(store_load_aliasing(200), config)
 
 
 def test_tiny_caches_still_correct():
